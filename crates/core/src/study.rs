@@ -232,13 +232,6 @@ pub struct RunOptions {
     /// many checkpoints have been written. Lets CI exercise the
     /// kill-and-resume path deterministically.
     pub crash_after_checkpoints: Option<u64>,
-    /// Drain consecutive like events as one columnar batch instead of
-    /// dispatching them one at a time (default on). Likes draw no RNG and
-    /// a run of them is broken only by polls/sweeps, so the batched loop
-    /// produces a byte-identical world; the invariance tier pins the
-    /// equivalence. Off = the historical per-event loop, kept for that
-    /// differential test.
-    pub coalesce_likes: bool,
 }
 
 impl Default for RunOptions {
@@ -252,7 +245,6 @@ impl Default for RunOptions {
             checkpoint_every: 5_000,
             resume: false,
             crash_after_checkpoints: None,
-            coalesce_likes: true,
         }
     }
 }
@@ -656,28 +648,24 @@ pub(crate) fn event_loop(
     while let Some((now, ev)) = state.engine.step() {
         match ev {
             Ev::Like(l) => {
-                if opts.coalesce_likes {
-                    // Drain the maximal run of consecutive like events (up
-                    // to the cap) and ingest them as one columnar batch.
-                    // Equivalent to per-event dispatch: likes draw no RNG,
-                    // account status only changes at sweep events (which end
-                    // the run), and `ingest_like_columns` documents
-                    // per-item `record_like` equivalence.
-                    like_run.clear();
-                    like_run.push(l.user, l.page, l.at);
-                    while like_run.len() < LIKE_RUN_CAP {
-                        match state.engine.step_if(|_, e| matches!(e, Ev::Like(_))) {
-                            Some((_, Ev::Like(next))) => {
-                                like_run.push(next.user, next.page, next.at);
-                            }
-                            Some(_) => unreachable!("predicate admits only likes"),
-                            None => break,
+                // Drain the maximal run of consecutive like events (up to
+                // the cap) and ingest them as one columnar batch.
+                // Equivalent to per-event dispatch: likes draw no RNG,
+                // account status only changes at sweep events (which end
+                // the run), and `ingest_like_columns` documents per-item
+                // `record_like` equivalence.
+                like_run.clear();
+                like_run.push(l.user, l.page, l.at);
+                while like_run.len() < LIKE_RUN_CAP {
+                    match state.engine.step_if(|_, e| matches!(e, Ev::Like(_))) {
+                        Some((_, Ev::Like(next))) => {
+                            like_run.push(next.user, next.page, next.at);
                         }
+                        Some(_) => unreachable!("predicate admits only likes"),
+                        None => break,
                     }
-                    state.world.ingest_like_columns(&like_run, Exec::Sequential);
-                } else {
-                    state.world.record_like(l.user, l.page, l.at);
                 }
+                state.world.ingest_like_columns(&like_run, Exec::Sequential);
             }
             Ev::Poll(i) => {
                 let _poll_span = likelab_obs::span::enter("study.poll");

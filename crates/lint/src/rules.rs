@@ -16,7 +16,7 @@
 //! - `unwrap-in-library` — `.unwrap()`/`.expect(…)`/`panic!` in library
 //!   code.
 //! - `stdout-in-library` — `println!`/`print!`/`dbg!` in library code.
-//! - `log-bypass` — direct ledger/graph mutation (`.ingest_batch(…)`,
+//! - `log-bypass` — direct ledger/graph mutation (`.ingest_columns(…)`,
 //!   `.friends_mut(…)`) outside the world's recording hooks; bypassed
 //!   mutations never reach the study log, so a captured log stops being
 //!   replayable.
@@ -110,7 +110,7 @@ pub const RULES: &[RuleInfo] = &[
         summary: "ledger/graph mutated directly instead of through the world's logged hooks",
         explain: "OsnWorld records every mutation into the world log; the log is replayed\n\
                   byte-for-byte by `likelab replay` and the CI replay gate. Mutating the\n\
-                  ledger or friend graph directly (.ingest_batch, .friends_mut) skips the\n\
+                  ledger or friend graph directly (.ingest_columns, .friends_mut) skips the\n\
                   log, so a captured log stops reproducing the run.\n\
                   Fix: mutate through OsnWorld (like/befriend/apply_event).\n\
                   Suppress: // lint:allow(log-bypass): <why this mutation is pre-log>",
@@ -772,7 +772,7 @@ fn stdout_in_library(ctx: &Ctx, out: &mut Vec<Finding>) {
 /// Mutating entry points that bypass `OsnWorld`'s event-recording hooks.
 /// A mutation that skips the world never reaches the study log, so a
 /// captured log stops being a sufficient statistic for replay.
-const LOG_BYPASS_METHODS: &[&str] = &[".ingest_batch(", ".friends_mut("];
+const LOG_BYPASS_METHODS: &[&str] = &[".ingest_columns(", ".friends_mut("];
 
 fn log_bypass(ctx: &Ctx, out: &mut Vec<Finding>) {
     if ctx.kind != FileKind::Library {
@@ -784,7 +784,7 @@ fn log_bypass(ctx: &Ctx, out: &mut Vec<Finding>) {
             continue;
         }
         let line = &ctx.file.code[idx];
-        // The leading dot scopes this to call sites; `fn ingest_batch(` and
+        // The leading dot scopes this to call sites; `fn ingest_columns(` and
         // `pub fn friends_mut(` definitions don't match.
         if LOG_BYPASS_METHODS.iter().any(|m| line.contains(m)) {
             ctx.emit(
@@ -1248,8 +1248,8 @@ mod tests {
 
     #[test]
     fn direct_ledger_mutation_is_flagged() {
-        let src = "fn f(ledger: &mut LikeLedger, items: &[(UserId, PageId, SimTime)]) {\n\
-                   ledger.ingest_batch(items, Exec::Sequential);\n}\n\
+        let src = "fn f(ledger: &mut LikeLedger, items: &LikeColumns) {\n\
+                   ledger.ingest_columns(items, Exec::Sequential);\n}\n\
                    fn g(world: &mut OsnWorld) { world.friends_mut().add_edge(a, b); }\n";
         let f = lib_scan(src);
         assert_eq!(rules_of(&f), vec!["log-bypass"; 2], "{f:?}");
@@ -1259,17 +1259,17 @@ mod tests {
     #[test]
     fn log_bypass_skips_definitions_tests_and_binaries() {
         let def = "impl LikeLedger {\n\
-                   pub fn ingest_batch(&mut self, items: &[Item], exec: Exec) -> usize { 0 }\n\
+                   pub fn ingest_columns(&mut self, items: &LikeColumns, exec: Exec) -> usize { 0 }\n\
                    pub fn friends_mut(&mut self) -> &mut FriendGraph { &mut self.g }\n}\n";
         assert!(lib_scan(def).is_empty(), "{:?}", lib_scan(def));
         let in_test = "#[cfg(test)]\nmod tests {\n\
-                       #[test]\nfn t() { ledger.ingest_batch(&items, exec); }\n}\n";
+                       #[test]\nfn t() { ledger.ingest_columns(&items, exec); }\n}\n";
         assert!(lib_scan(in_test).is_empty());
         let as_bin = scan_source(
             "src/main.rs",
             "likelab",
             FileKind::Binary,
-            "fn f() { ledger.ingest_batch(&items, exec); }\n",
+            "fn f() { ledger.ingest_columns(&items, exec); }\n",
         );
         assert!(as_bin.is_empty());
     }

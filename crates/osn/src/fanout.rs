@@ -2,19 +2,19 @@
 //! [`WorldEvent`] stream and incremental detectors.
 //!
 //! A batch detector reads the finished [`OsnWorld`]; an *online* detector
-//! needs to know, per event, what actually changed. The world's own
-//! [`OsnWorld::apply_event`] deliberately reports nothing (replay is a pure
-//! fold), and several events are not 1:1 with mutations anyway: a
-//! [`WorldEvent::LikeBatch`] journals the *input* batch verbatim, so some
-//! of its items may be duplicates or rejected likes from terminated
-//! accounts, and a [`WorldEvent::FriendshipBatch`] can carry edges that
-//! already exist.
+//! needs to know, per event, what actually changed. Events are not 1:1
+//! with mutations: a [`WorldEvent::LikeBatch`] journals the *input* batch
+//! verbatim, so some of its items may be duplicates or likes from
+//! terminated accounts, and a [`WorldEvent::FriendshipBatch`] can carry
+//! edges that already exist.
 //!
-//! [`EventFanout`] closes that gap. It owns a replica world, applies each
-//! event through the world's acceptance-reporting public API (the same
-//! methods the original run used, so the replica ends up byte-identical to
-//! an [`OsnWorld::apply_event`] fold — asserted by tests), and emits one
-//! [`DetectorUpdate`] per **accepted** mutation. Rejected mutations emit
+//! [`EventFanout`] closes that gap. It owns a replica world and folds each
+//! event through [`OsnWorld::apply_event_with`] — the one fold that replay
+//! and checkpoint resume also run through [`OsnWorld::apply_event`], so
+//! the replica is that fold's world by construction — which emits one
+//! [`DetectorUpdate`] per **accepted** mutation. A `LikeBatch` takes the
+//! ledger's batch kernel and reports the ledger tail it appended, which is
+//! exactly the accepted likes in batch order. Rejected mutations emit
 //! nothing, which is exactly the filtering the batch detectors get for
 //! free by reading the final ledger.
 //!
@@ -140,95 +140,13 @@ impl EventFanout {
         self.watermark
     }
 
-    fn advance(&mut self, at: SimTime) {
-        if at > self.watermark {
-            self.watermark = at;
-        }
-    }
-
     /// Apply one event to the replica world and hand every accepted
     /// mutation to `sink`, in application order.
-    pub fn apply(&mut self, ev: &WorldEvent, mut sink: impl FnMut(DetectorUpdate)) {
-        match ev {
-            WorldEvent::AccountCreated {
-                profile,
-                class,
-                privacy,
-                at,
-            } => {
-                let user = self.world.create_account(*profile, *class, *privacy, *at);
-                self.advance(*at);
-                sink(DetectorUpdate::AccountAdded { user });
-            }
-            WorldEvent::PageCreated {
-                name,
-                description,
-                owner,
-                category,
-                at,
-            } => {
-                let page = self.world.create_page(
-                    name.clone(),
-                    description.clone(),
-                    *owner,
-                    *category,
-                    *at,
-                );
-                self.advance(*at);
-                sink(DetectorUpdate::PageAdded { page });
-            }
-            WorldEvent::Friendship { a, b } => {
-                if self.world.add_friendship(*a, *b) {
-                    sink(DetectorUpdate::FriendshipAdded { a: *a, b: *b });
-                }
-            }
-            WorldEvent::FriendshipBatch { edges } => {
-                // `apply_event` adds batch edges straight to the graph;
-                // `add_friendship` is the same insertion plus the acceptance
-                // bool we need here.
-                for &(a, b) in edges {
-                    if self.world.add_friendship(a, b) {
-                        sink(DetectorUpdate::FriendshipAdded { a, b });
-                    }
-                }
-            }
-            WorldEvent::OffNetworkFriends { user, n } => {
-                self.world.set_off_network_friends(*user, *n);
-                sink(DetectorUpdate::OffNetworkChanged { user: *user });
-            }
-            WorldEvent::Like { user, page, at } => {
-                self.advance(*at);
-                if self.world.record_like(*user, *page, *at) {
-                    sink(DetectorUpdate::LikeAccepted {
-                        user: *user,
-                        page: *page,
-                        at: *at,
-                    });
-                }
-            }
-            WorldEvent::LikeBatch { likes } => {
-                // The journal carries the *input* batch; re-filter per item.
-                // `ingest_likes` documents that the per-item path produces
-                // the identical ledger.
-                for &(user, page, at) in likes {
-                    self.advance(at);
-                    if self.world.record_like(user, page, at) {
-                        sink(DetectorUpdate::LikeAccepted { user, page, at });
-                    }
-                }
-            }
-            WorldEvent::Terminated { user, at } => {
-                self.advance(*at);
-                if self.world.terminate_account(*user, *at) {
-                    sink(DetectorUpdate::AccountTerminated { user: *user });
-                }
-            }
-            WorldEvent::Reinstated { user } => {
-                if self.world.reinstate_account(*user) {
-                    sink(DetectorUpdate::AccountReinstated { user: *user });
-                }
-            }
+    pub fn apply(&mut self, ev: &WorldEvent, sink: impl FnMut(DetectorUpdate)) {
+        if let Some(at) = event_time(ev) {
+            self.watermark = self.watermark.max(at);
         }
+        self.world.apply_event_with(ev, sink);
     }
 
     /// Apply a whole event slice, collecting the updates.
@@ -247,11 +165,28 @@ impl EventFanout {
     }
 }
 
+/// The latest timestamp an event carries, accepted or not (events without
+/// one, such as friendships, leave the watermark alone).
+fn event_time(ev: &WorldEvent) -> Option<SimTime> {
+    match ev {
+        WorldEvent::AccountCreated { at, .. }
+        | WorldEvent::PageCreated { at, .. }
+        | WorldEvent::Like { at, .. }
+        | WorldEvent::Terminated { at, .. } => Some(*at),
+        WorldEvent::LikeBatch { likes } => likes.iter().map(|&(_, _, at)| at).max(),
+        WorldEvent::Friendship { .. }
+        | WorldEvent::FriendshipBatch { .. }
+        | WorldEvent::OffNetworkFriends { .. }
+        | WorldEvent::Reinstated { .. } => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::account::{ActorClass, PrivacySettings};
     use crate::demographics::{Country, Gender, Profile};
+    use crate::likes::LikeColumns;
     use crate::page::PageCategory;
     use likelab_sim::Exec;
 
@@ -314,17 +249,27 @@ mod tests {
         w.set_off_network_friends(users[3], 40);
         w.record_like(users[0], pages[0], SimTime::at_day(7));
         w.record_like(users[0], pages[0], SimTime::at_day(8)); // dup: rejected
-        w.ingest_likes(
-            &[
+        w.ingest_like_columns(
+            &LikeColumns::from_rows(&[
                 (users[1], pages[0], SimTime::at_day(7)),
                 (users[1], pages[0], SimTime::at_day(7)), // in-batch dup
                 (users[2], pages[1], SimTime::at_day(9)),
-            ],
+            ]),
             Exec::Sequential,
         );
         w.terminate_account(users[4], SimTime::at_day(10));
         w.terminate_account(users[4], SimTime::at_day(11)); // idempotent
         w.record_like(users[4], pages[1], SimTime::at_day(12)); // dead: rejected
+
+        // Journaled verbatim, so the fold must re-filter both rejections.
+        w.ingest_like_columns(
+            &LikeColumns::from_rows(&[
+                (users[4], pages[0], SimTime::at_day(13)), // dead: rejected
+                (users[3], pages[1], SimTime::at_day(13)),
+                (users[2], pages[1], SimTime::at_day(13)), // dup of history
+            ]),
+            Exec::Sequential,
+        );
         w.reinstate_account(users[4]);
         w.reinstate_account(users[4]); // idempotent: rejected
         w.drain_events()
@@ -366,8 +311,9 @@ mod tests {
 
         // The recorder already filters rejected singleton mutations out of
         // the stream; what this asserts is that the verbatim-journaled
-        // LikeBatch (1 in-batch duplicate) is re-filtered by the fanout:
-        // 3 accepted likes from 4 batch+single attempts.
+        // LikeBatches (an in-batch duplicate, then a terminated liker and a
+        // duplicate of history) are re-filtered by the fanout: 4 accepted
+        // likes from 7 batch+single attempts.
         assert_eq!(
             count(|u| matches!(u, DetectorUpdate::AccountAdded { .. })),
             6
@@ -379,7 +325,7 @@ mod tests {
         );
         assert_eq!(
             count(|u| matches!(u, DetectorUpdate::LikeAccepted { .. })),
-            3
+            4
         );
         assert_eq!(
             count(|u| matches!(u, DetectorUpdate::AccountTerminated { .. })),
@@ -401,8 +347,9 @@ mod tests {
         let mut fanout = EventFanout::new();
         assert_eq!(fanout.watermark(), SimTime::EPOCH);
         fanout.apply_all(&events);
-        // The rejected day-11/12 mutations never reached the journal, so
-        // the last recorded timestamp is the day-10 termination.
-        assert_eq!(fanout.watermark(), SimTime::at_day(10));
+        // The rejected day-11/12 singletons never reached the journal, but
+        // the day-13 batch did: a journaled batch advances the watermark
+        // even through the likes the fold rejects.
+        assert_eq!(fanout.watermark(), SimTime::at_day(13));
     }
 }

@@ -77,8 +77,8 @@ impl LikeColumns {
         }
     }
 
-    /// Build columns from row tuples (tests and the AoS compatibility
-    /// wrapper).
+    /// Build columns from row tuples (replaying a journaled
+    /// [`WorldEvent::LikeBatch`](crate::WorldEvent::LikeBatch), and tests).
     pub fn from_rows(rows: &[(UserId, PageId, SimTime)]) -> Self {
         let mut cols = LikeColumns::with_capacity(rows.len());
         for &(user, page, at) in rows {
@@ -293,6 +293,74 @@ impl UserPages {
     }
 }
 
+/// `u32` values grouped by a `u32` key: `values` in (key, input) order,
+/// one run per distinct key, runs in ascending key order.
+struct Grouped {
+    values: Vec<u32>,
+    /// `(key, end)` per run; a run starts where the previous one ends.
+    run_ends: Vec<(u32, u32)>,
+}
+
+impl Grouped {
+    /// Group `(key, value)` items by key, keeping input order within a key.
+    /// Values must increase along the input (batch positions and global
+    /// record indices do), so both routes give the same runs: `dense`
+    /// counting-sorts over `0..key_space`, whose work scales with the key
+    /// space; otherwise the packed pairs are sorted, whose work scales with
+    /// the input.
+    fn new<I>(items: I, key_space: usize, dense: bool) -> Self
+    where
+        I: Iterator<Item = (u32, u32)> + Clone,
+    {
+        let mut run_ends = Vec::new();
+        let values = if dense {
+            let mut counts = vec![0u32; key_space + 1];
+            for (key, _) in items.clone() {
+                counts[key as usize + 1] += 1;
+            }
+            for i in 1..counts.len() {
+                counts[i] += counts[i - 1];
+            }
+            let mut values = vec![0u32; counts[key_space] as usize];
+            let mut cursor = counts.clone();
+            for (key, value) in items {
+                let c = &mut cursor[key as usize];
+                values[*c as usize] = value;
+                *c += 1;
+            }
+            drop(cursor);
+            for key in 0..key_space {
+                if counts[key + 1] > counts[key] {
+                    run_ends.push((key as u32, counts[key + 1]));
+                }
+            }
+            values
+        } else {
+            let mut packed: Vec<u64> = items
+                .map(|(key, value)| (u64::from(key) << 32) | u64::from(value))
+                .collect();
+            packed.sort_unstable();
+            let mut end = 0u32;
+            for run in packed.chunk_by(|a, b| a >> 32 == b >> 32) {
+                end += run.len() as u32;
+                run_ends.push(((run[0] >> 32) as u32, end));
+            }
+            packed.iter().map(|&kv| kv as u32).collect()
+        };
+        Grouped { values, run_ends }
+    }
+
+    /// Each run's key and values.
+    fn runs(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+        let mut start = 0;
+        self.run_ends.iter().map(move |&(key, end)| {
+            let run = &self.values[start..end as usize];
+            start = end as usize;
+            (key, run)
+        })
+    }
+}
+
 /// The append-only like ledger with both-side indexes. See the module docs
 /// for the sharded, bit-packed struct-of-arrays layout.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -367,27 +435,17 @@ impl LikeLedger {
         true
     }
 
-    /// Bulk-record a batch of likes, indexing pages per shard in parallel.
-    /// Returns how many were new (duplicates — within the batch or against
-    /// history — are ignored, first occurrence wins, exactly as if each item
-    /// had gone through [`record`][Self::record] in order).
+    /// Bulk-record a batch of likes. Returns how many were new (duplicates
+    /// — within the batch or against history — are ignored, first
+    /// occurrence wins, exactly as if each item had gone through
+    /// [`record`][Self::record] in order).
     ///
     /// The result is byte-identical for every `exec`: acceptance and global
-    /// order are decided by a sequential dedup/append pass; the parallel
-    /// stage only counting-sorts each shard's accepted indices into per-page
-    /// groups (two flat arrays per shard, no per-page `Vec`s), and each
-    /// posting list's content is fully determined by the global order. This
-    /// is the synthesis ingestion path at scale.
-    pub fn ingest_batch(&mut self, items: &[(UserId, PageId, SimTime)], exec: Exec) -> usize {
-        self.ingest_columns(&LikeColumns::from_rows(items), exec)
-    }
-
-    /// Columnar bulk-record: the core behind
-    /// [`ingest_batch`][Self::ingest_batch], taking the batch as
-    /// [`LikeColumns`] so synthesis output lands here without assembling
-    /// row tuples. Semantics are identical to a positional
-    /// [`record`][Self::record] loop over the zipped columns, and the
-    /// resulting ledger bytes do not depend on `exec`.
+    /// order are decided by a sequential dedup/append pass, and each
+    /// posting list's content is fully determined by the global order.
+    /// `exec` only spreads a large batch's per-shard page grouping over
+    /// workers. This is the one ingestion path: synthesis, the event
+    /// loop's coalesced like runs and log replay all land here.
     pub fn ingest_columns(&mut self, batch: &LikeColumns, exec: Exec) -> usize {
         // A positional `record` loop pays several random-memory touches per
         // item (membership probe, overlay memmove, posting push into a cold
@@ -410,48 +468,28 @@ impl LikeLedger {
         if n == 0 {
             return 0;
         }
-        let n_users = self.by_user.len();
-        if n < n_users / 8 {
-            // Batches far smaller than the account table (the event loop's
-            // coalesced runs) pay for the dense kernel's O(accounts)
-            // counting arrays and full shard walk; route them through the
-            // sparse twin, whose work scales with the batch.
-            return self.ingest_columns_sparse(batch);
-        }
-        let mut counts = vec![0u32; n_users + 1];
-        for &user in b_users {
-            counts[user.idx() + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        // Stable scatter: positions of each user's items, in batch order.
+        // Only the two grouping steps depend on the batch size. Batches far
+        // smaller than the account table (the event loop's coalesced runs)
+        // group by sorting, so their work scales with the batch; larger
+        // ones (synthesis) counting-sort over the account table and group
+        // pages per shard through `exec`.
+        let dense = n >= self.by_user.len() / 8;
+        // Batch positions grouped by user, in batch order within a user.
         // Only the 4-byte user column streams through this pass.
-        let mut by_user_pos = vec![0u32; n];
-        let mut cursor = counts.clone();
-        for (i, &user) in b_users.iter().enumerate() {
-            let c = &mut cursor[user.idx()];
-            by_user_pos[*c as usize] = i as u32;
-            *c += 1;
-        }
-        drop(cursor);
+        let by_user = Grouped::new(
+            b_users.iter().zip(0u32..).map(|(user, pos)| (user.0, pos)),
+            self.by_user.len(),
+            dense,
+        );
         // Per-user dedup against history + within the batch.
         let mut accept = vec![false; n];
         let mut cand: Vec<(u32, u32)> = Vec::new();
         let mut merged: Vec<u32> = Vec::new();
-        for u in 0..n_users {
-            let (lo, hi) = (counts[u] as usize, counts[u + 1] as usize);
-            if lo == hi {
-                continue;
-            }
+        for (user, positions) in by_user.runs() {
             cand.clear();
-            cand.extend(
-                by_user_pos[lo..hi]
-                    .iter()
-                    .map(|&pos| (b_pages[pos as usize].0, pos)),
-            );
+            cand.extend(positions.iter().map(|&pos| (b_pages[pos as usize].0, pos)));
             cand.sort_unstable();
-            self.user_pages[u].absorb_sorted(&cand, &mut accept, &mut merged);
+            self.user_pages[user as usize].absorb_sorted(&cand, &mut accept, &mut merged);
         }
         // Positional pass: append accepted records to the columns in batch
         // order. When nothing was rejected — the overwhelming synthesis
@@ -460,17 +498,13 @@ impl LikeLedger {
         let start = self.users.len() as u32;
         let all_accepted = accept.iter().all(|&a| a);
         let mut global_idx: Vec<u32> = Vec::new();
-        let accepted = if all_accepted {
+        if all_accepted {
             self.users.extend_from_slice(b_users);
             self.pages.extend_from_slice(b_pages);
             self.times.extend_from_slice(b_times);
-            n
         } else {
             global_idx = vec![u32::MAX; n];
             let mut next = start;
-            self.users.reserve(n);
-            self.pages.reserve(n);
-            self.times.reserve(n);
             for i in 0..n {
                 if !accept[i] {
                     continue;
@@ -481,172 +515,74 @@ impl LikeLedger {
                 global_idx[i] = next;
                 next += 1;
             }
-            (next - start) as usize
-        };
+        }
+        let accepted = self.users.len() - start as usize;
         // Per-user posting extends: batch order within a user means the
         // accepted global indices come out strictly increasing.
         let mut idxs: Vec<u32> = Vec::new();
-        for u in 0..n_users {
-            let (lo, hi) = (counts[u] as usize, counts[u + 1] as usize);
-            if lo == hi {
-                continue;
-            }
+        for (user, positions) in by_user.runs() {
             idxs.clear();
             if all_accepted {
-                idxs.extend(by_user_pos[lo..hi].iter().map(|&pos| start + pos));
+                idxs.extend(positions.iter().map(|&pos| start + pos));
             } else {
-                idxs.extend(by_user_pos[lo..hi].iter().filter_map(|&pos| {
+                idxs.extend(positions.iter().filter_map(|&pos| {
                     let g = global_idx[pos as usize];
                     (g != u32::MAX).then_some(g)
                 }));
             }
             if !idxs.is_empty() {
-                self.by_user[u].extend_from_increasing(&idxs);
-            }
-        }
-        drop(by_user_pos);
-        drop(global_idx);
-        drop(accept);
-        // Group the appended records per shard with one flat counting sort
-        // over the fresh page-column tail (stable, so each shard's pairs
-        // keep global order) — no per-shard Vec growth.
-        let n_shards = self.shards.len();
-        let mut shard_counts = vec![0u32; n_shards + 1];
-        let new_pages = &self.pages[start as usize..];
-        for &page in new_pages {
-            shard_counts[page.idx() / SHARD_PAGES + 1] += 1;
-        }
-        for i in 1..shard_counts.len() {
-            shard_counts[i] += shard_counts[i - 1];
-        }
-        let mut flat_pairs: Vec<(u32, u32)> = vec![(0, 0); accepted];
-        let mut cursor = shard_counts.clone();
-        for (k, &page) in new_pages.iter().enumerate() {
-            let c = &mut cursor[page.idx() / SHARD_PAGES];
-            flat_pairs[*c as usize] = ((page.idx() % SHARD_PAGES) as u32, start + k as u32);
-            *c += 1;
-        }
-        drop(cursor);
-        let per_shard: Vec<&[(u32, u32)]> = (0..n_shards)
-            .map(|s| &flat_pairs[shard_counts[s] as usize..shard_counts[s + 1] as usize])
-            .collect();
-        // Parallel per-shard grouping: counting-sort the (local page, index)
-        // pairs into a flat value array plus per-page offsets. Stable, so
-        // each page's slice keeps global order.
-        let widths: Vec<usize> = self.shards.iter().map(|s| s.by_page.len()).collect();
-        let grouped = parallel_map(exec, &per_shard, |s, pairs| {
-            let width = widths[s];
-            let mut counts = vec![0u32; width + 1];
-            for &(local, _) in pairs.iter() {
-                counts[local as usize + 1] += 1;
-            }
-            for i in 1..counts.len() {
-                counts[i] += counts[i - 1];
-            }
-            let mut flat = vec![0u32; pairs.len()];
-            let mut cursor = counts.clone();
-            for &(local, idx) in pairs.iter() {
-                flat[cursor[local as usize] as usize] = idx;
-                cursor[local as usize] += 1;
-            }
-            (counts, flat)
-        });
-        // Sequential shard-order merge into the packed posting lists.
-        for (shard, (offsets, flat)) in self.shards.iter_mut().zip(grouped) {
-            for (local, list) in shard.by_page.iter_mut().enumerate() {
-                let (lo, hi) = (offsets[local] as usize, offsets[local + 1] as usize);
-                if lo < hi {
-                    list.extend_from_increasing(&flat[lo..hi]);
-                }
-            }
-        }
-        accepted
-    }
-
-    /// Sparse twin of the dense columnar kernel, for batches far smaller
-    /// than the user table: identical accept decisions, global order, and
-    /// posting-list bytes, but every pass touches only the users, pages,
-    /// and shards the batch mentions — no O(accounts) arrays, no walk over
-    /// every posting list. Fully sequential (the dense kernel's parallel
-    /// shard stage would be pure overhead at this size).
-    fn ingest_columns_sparse(&mut self, batch: &LikeColumns) -> usize {
-        let (b_users, b_pages, b_times) = (&batch.users, &batch.pages, &batch.times);
-        let n = b_users.len();
-        // (user, page, pos): user groups come out adjacent, and within a
-        // user the (page, pos) order is exactly the candidate ordering
-        // `absorb_sorted` expects.
-        let mut triples: Vec<(u32, u32, u32)> = (0..n)
-            .map(|i| (b_users[i].0, b_pages[i].0, i as u32))
-            .collect();
-        triples.sort_unstable();
-        let mut accept = vec![false; n];
-        let mut cand: Vec<(u32, u32)> = Vec::new();
-        let mut merged: Vec<u32> = Vec::new();
-        let mut k = 0usize;
-        while k < triples.len() {
-            let user = triples[k].0;
-            let lo = k;
-            while k < triples.len() && triples[k].0 == user {
-                k += 1;
-            }
-            cand.clear();
-            cand.extend(triples[lo..k].iter().map(|&(_, page, pos)| (page, pos)));
-            self.user_pages[user as usize].absorb_sorted(&cand, &mut accept, &mut merged);
-        }
-        // Positional pass: append accepted records in batch order.
-        let start = self.users.len() as u32;
-        let mut global_idx = vec![u32::MAX; n];
-        let mut next = start;
-        for i in 0..n {
-            if accept[i] {
-                self.users.push(b_users[i]);
-                self.pages.push(b_pages[i]);
-                self.times.push(b_times[i]);
-                global_idx[i] = next;
-                next += 1;
-            }
-        }
-        let accepted = (next - start) as usize;
-        // Per-user posting extends over the same user runs. The gathered
-        // indices arrive page-sorted, so re-sort into the strictly
-        // increasing (= batch position) order the posting list needs.
-        let mut idxs: Vec<u32> = Vec::new();
-        let mut k = 0usize;
-        while k < triples.len() {
-            let user = triples[k].0;
-            let lo = k;
-            while k < triples.len() && triples[k].0 == user {
-                k += 1;
-            }
-            idxs.clear();
-            idxs.extend(triples[lo..k].iter().filter_map(|&(_, _, pos)| {
-                let g = global_idx[pos as usize];
-                (g != u32::MAX).then_some(g)
-            }));
-            idxs.sort_unstable();
-            if !idxs.is_empty() {
                 self.by_user[user as usize].extend_from_increasing(&idxs);
             }
         }
-        // Per-page posting extends: sorting (page, index) pairs makes page
-        // runs adjacent with indices ascending (the sort's tie-break *is*
-        // global order), so each run extends its list directly — only the
-        // pages actually present in the batch are touched.
-        let mut by_page: Vec<(u32, u32)> = (start..next)
-            .map(|g| (self.pages[g as usize].0, g))
-            .collect();
-        by_page.sort_unstable();
-        let mut k = 0usize;
-        while k < by_page.len() {
-            let page = by_page[k].0 as usize;
-            let lo = k;
-            while k < by_page.len() && by_page[k].0 as usize == page {
-                k += 1;
+        drop(by_user);
+        drop(global_idx);
+        drop(accept);
+        // Group the appended records by page. Each run keeps global order,
+        // so it extends its posting list directly.
+        let new_pages = &self.pages[start as usize..];
+        if dense {
+            // Split the tail per shard with one flat counting sort (stable,
+            // so each shard's pairs keep global order), then group each
+            // shard's (local page, index) pairs in parallel.
+            let n_shards = self.shards.len();
+            let mut shard_counts = vec![0u32; n_shards + 1];
+            for &page in new_pages {
+                shard_counts[page.idx() / SHARD_PAGES + 1] += 1;
             }
-            idxs.clear();
-            idxs.extend(by_page[lo..k].iter().map(|&(_, g)| g));
-            self.shards[page / SHARD_PAGES].by_page[page % SHARD_PAGES]
-                .extend_from_increasing(&idxs);
+            for i in 1..shard_counts.len() {
+                shard_counts[i] += shard_counts[i - 1];
+            }
+            let mut flat_pairs: Vec<(u32, u32)> = vec![(0, 0); accepted];
+            let mut cursor = shard_counts.clone();
+            for (&page, g) in new_pages.iter().zip(start..) {
+                let c = &mut cursor[page.idx() / SHARD_PAGES];
+                flat_pairs[*c as usize] = ((page.idx() % SHARD_PAGES) as u32, g);
+                *c += 1;
+            }
+            drop(cursor);
+            let per_shard: Vec<&[(u32, u32)]> = (0..n_shards)
+                .map(|s| &flat_pairs[shard_counts[s] as usize..shard_counts[s + 1] as usize])
+                .collect();
+            let widths: Vec<usize> = self.shards.iter().map(|s| s.by_page.len()).collect();
+            let grouped = parallel_map(exec, &per_shard, |s, pairs| {
+                Grouped::new(pairs.iter().copied(), widths[s], true)
+            });
+            for (shard, by_page) in self.shards.iter_mut().zip(grouped) {
+                for (local, idxs) in by_page.runs() {
+                    shard.by_page[local as usize].extend_from_increasing(idxs);
+                }
+            }
+        } else {
+            let by_page = Grouped::new(
+                new_pages.iter().zip(start..).map(|(page, g)| (page.0, g)),
+                self.n_pages,
+                false,
+            );
+            for (page, idxs) in by_page.runs() {
+                let page = page as usize;
+                self.shards[page / SHARD_PAGES].by_page[page % SHARD_PAGES]
+                    .extend_from_increasing(idxs);
+            }
         }
         accepted
     }
@@ -679,15 +615,6 @@ impl LikeLedger {
     /// Number of page-range index shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The page ids covered by shard `s` (a `s * SHARD_PAGES ..` range
-    /// clamped to the page count). Aggregations that batch per shard walk
-    /// `0..shard_count()` and process each range independently.
-    pub fn shard_pages(&self, s: usize) -> std::ops::Range<u32> {
-        let lo = (s * SHARD_PAGES).min(self.n_pages) as u32;
-        let hi = ((s + 1) * SHARD_PAGES).min(self.n_pages) as u32;
-        lo..hi
     }
 
     /// Assemble the record at a global index.
@@ -885,8 +812,6 @@ mod tests {
         let mut l = LikeLedger::new(3, 1);
         l.ensure_pages(n);
         assert_eq!(l.shard_count(), 3);
-        assert_eq!(l.shard_pages(0), 0..SHARD_PAGES as u32);
-        assert_eq!(l.shard_pages(2), (2 * SHARD_PAGES) as u32..n as u32);
         let far = p(n as u32 - 1);
         assert!(l.record(u(2), far, t(4)));
         assert_eq!(l.page_like_count(far), 1);
@@ -934,7 +859,7 @@ mod tests {
         }
         let mut by_batch = LikeLedger::new(n_users, n_pages);
         by_batch.record(u(3), p(17), t(1));
-        let accepted = by_batch.ingest_batch(&batch, Exec::Sequential);
+        let accepted = by_batch.ingest_columns(&LikeColumns::from_rows(&batch), Exec::Sequential);
         assert_eq!(accepted, expected_new);
         let a: Vec<LikeRecord> = by_batch.records().collect();
         let b: Vec<LikeRecord> = by_record.records().collect();
@@ -952,7 +877,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_batch_matches_sequential_record() {
+    fn ingest_columns_matches_sequential_record() {
         // Batch ingestion over several shards, with duplicates both inside
         // the batch and against pre-existing history.
         let n_pages = SHARD_PAGES + 50;
@@ -976,7 +901,8 @@ mod tests {
         for workers in [1usize, 3] {
             let mut by_batch = LikeLedger::new(90, n_pages);
             by_batch.record(u(0), p(0), t(7));
-            let accepted = by_batch.ingest_batch(&batch, Exec::workers(workers));
+            let accepted =
+                by_batch.ingest_columns(&LikeColumns::from_rows(&batch), Exec::workers(workers));
             assert_eq!(accepted, expected_new, "workers={workers}");
             assert_eq!(by_batch.len(), by_record.len());
             let a: Vec<LikeRecord> = by_batch.records().collect();

@@ -87,7 +87,7 @@ pub enum WorldEvent {
     /// rejection, which produce identical results against the replayed
     /// state.
     LikeBatch {
-        /// The batch as handed to `ingest_likes`.
+        /// The batch as handed to `ingest_like_columns`, in row form.
         likes: Vec<(UserId, PageId, SimTime)>,
     },
     /// An active account was terminated.
@@ -132,10 +132,6 @@ impl Recorder {
     pub(crate) fn drain(&mut self) -> Vec<WorldEvent> {
         std::mem::take(&mut self.buf)
     }
-
-    pub(crate) fn len(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 #[cfg(test)]
@@ -143,6 +139,7 @@ mod tests {
     use super::*;
     use crate::account::AccountStatus;
     use crate::demographics::{Country, Gender};
+    use crate::likes::LikeColumns;
     use crate::world::OsnWorld;
     use likelab_sim::parallel::Exec;
 
@@ -196,12 +193,12 @@ mod tests {
         w.record_like(UserId(0), p, SimTime::at_day(3)); // dup: rejected
         w.terminate_account(UserId(4), SimTime::at_day(3));
         w.terminate_account(UserId(4), SimTime::at_day(4)); // idempotent: not logged
-        w.ingest_likes(
-            &[
+        w.ingest_like_columns(
+            &LikeColumns::from_rows(&[
                 (UserId(1), p, SimTime::at_day(4)),
                 (UserId(4), p, SimTime::at_day(4)), // terminated at replay time too
                 (UserId(2), p, SimTime::at_day(5)),
-            ],
+            ]),
             Exec::Sequential,
         );
         w.reinstate_account(UserId(4));

@@ -12,6 +12,7 @@
 
 use crate::account::{Account, ActorClass, PrivacySettings};
 use crate::demographics::Profile;
+use crate::fanout::DetectorUpdate;
 use crate::likes::{LikeColumns, LikeLedger};
 use crate::log::{Recorder, WorldEvent};
 use crate::page::{Page, PageCategory};
@@ -50,11 +51,6 @@ impl OsnWorld {
         self.recorder.enabled()
     }
 
-    /// Number of buffered (not yet drained) events.
-    pub fn pending_events(&self) -> usize {
-        self.recorder.len()
-    }
-
     /// Take the buffered events, leaving the buffer empty.
     pub fn drain_events(&mut self) -> Vec<WorldEvent> {
         self.recorder.drain()
@@ -65,6 +61,14 @@ impl OsnWorld {
     /// never records, even when recording is on — replaying a log must not
     /// re-log it.
     pub fn apply_event(&mut self, ev: &WorldEvent) {
+        self.apply_event_with(ev, |_| {});
+    }
+
+    /// [`apply_event`][Self::apply_event], handing every **accepted**
+    /// mutation to `sink` in application order. This is the one fold of the
+    /// event vocabulary: replay, checkpoint resume and the serve fanout
+    /// (see [`crate::fanout`]) all go through it.
+    pub fn apply_event_with(&mut self, ev: &WorldEvent, mut sink: impl FnMut(DetectorUpdate)) {
         let was_recording = self.recorder.enabled();
         self.recorder.set_enabled(false);
         match ev {
@@ -74,7 +78,8 @@ impl OsnWorld {
                 privacy,
                 at,
             } => {
-                self.create_account(*profile, *class, *privacy, *at);
+                let user = self.create_account(*profile, *class, *privacy, *at);
+                sink(DetectorUpdate::AccountAdded { user });
             }
             WorldEvent::PageCreated {
                 name,
@@ -83,30 +88,58 @@ impl OsnWorld {
                 category,
                 at,
             } => {
-                self.create_page(name.clone(), description.clone(), *owner, *category, *at);
+                let page =
+                    self.create_page(name.clone(), description.clone(), *owner, *category, *at);
+                sink(DetectorUpdate::PageAdded { page });
             }
             WorldEvent::Friendship { a, b } => {
-                self.add_friendship(*a, *b);
+                if self.add_friendship(*a, *b) {
+                    sink(DetectorUpdate::FriendshipAdded { a: *a, b: *b });
+                }
             }
             WorldEvent::FriendshipBatch { edges } => {
                 for &(a, b) in edges {
-                    self.friends.add_edge(a, b);
+                    if self.friends.add_edge(a, b) {
+                        sink(DetectorUpdate::FriendshipAdded { a, b });
+                    }
                 }
             }
             WorldEvent::OffNetworkFriends { user, n } => {
                 self.set_off_network_friends(*user, *n);
+                sink(DetectorUpdate::OffNetworkChanged { user: *user });
             }
             WorldEvent::Like { user, page, at } => {
-                self.record_like(*user, *page, *at);
+                if self.record_like(*user, *page, *at) {
+                    sink(DetectorUpdate::LikeAccepted {
+                        user: *user,
+                        page: *page,
+                        at: *at,
+                    });
+                }
             }
             WorldEvent::LikeBatch { likes } => {
-                self.ingest_likes(likes, Exec::Sequential);
+                // The journal carries the *input* batch; the ledger appends
+                // exactly the accepted likes, in batch order, so its new
+                // tail is the accepted stream.
+                let start = self.ledger.len() as u32;
+                self.ingest_like_columns(&LikeColumns::from_rows(likes), Exec::Sequential);
+                for r in self.ledger.records_from(start) {
+                    sink(DetectorUpdate::LikeAccepted {
+                        user: r.user,
+                        page: r.page,
+                        at: r.at,
+                    });
+                }
             }
             WorldEvent::Terminated { user, at } => {
-                self.terminate_account(*user, *at);
+                if self.terminate_account(*user, *at) {
+                    sink(DetectorUpdate::AccountTerminated { user: *user });
+                }
             }
             WorldEvent::Reinstated { user } => {
-                self.reinstate_account(*user);
+                if self.reinstate_account(*user) {
+                    sink(DetectorUpdate::AccountReinstated { user: *user });
+                }
             }
         }
         self.recorder.set_enabled(was_recording);
@@ -319,21 +352,12 @@ impl OsnWorld {
         accepted
     }
 
-    /// Bulk-record likes through the ledger's sharded batch path (see
-    /// [`LikeLedger::ingest_batch`]). Likes by terminated accounts are
+    /// Bulk-record likes through the ledger's batch kernel (see
+    /// [`LikeLedger::ingest_columns`]). Likes by terminated accounts are
     /// rejected, duplicates ignored; returns how many were new and accepted.
     /// Byte-identical outcome for every `exec`, and identical to calling
-    /// [`record_like`][Self::record_like] per item in order.
-    pub fn ingest_likes(&mut self, items: &[(UserId, PageId, SimTime)], exec: Exec) -> usize {
-        self.ingest_like_columns(&LikeColumns::from_rows(items), exec)
-    }
-
-    /// Columnar twin of [`ingest_likes`][Self::ingest_likes]: the batch
-    /// arrives as [`LikeColumns`] and flows into the ledger's SoA storage
-    /// without assembling row tuples (synthesis and the coalesced event
-    /// loop call this directly). Journals the identical
-    /// [`WorldEvent::LikeBatch`] row form, so logs do not depend on which
-    /// entry point produced them.
+    /// [`record_like`][Self::record_like] per item in order. Journals one
+    /// [`WorldEvent::LikeBatch`] in row form.
     pub fn ingest_like_columns(&mut self, batch: &LikeColumns, exec: Exec) -> usize {
         // The *input* batch is journaled verbatim; replay re-applies the
         // same active-account filter against identical state.
@@ -345,6 +369,7 @@ impl OsnWorld {
         if batch.users.iter().all(|&u| self.accounts.is_active(u)) {
             // Synthesis-time fast path: nobody is terminated yet, ingest the
             // batch without copying it.
+            // lint:allow(log-bypass): the LikeBatch above journals this batch
             self.ledger.ingest_columns(batch, exec)
         } else {
             let mut alive = LikeColumns::with_capacity(batch.len());
@@ -353,6 +378,7 @@ impl OsnWorld {
                     alive.push(user, page, at);
                 }
             }
+            // lint:allow(log-bypass): the LikeBatch above journals the unfiltered batch
             self.ledger.ingest_columns(&alive, exec)
         }
     }
@@ -464,7 +490,10 @@ mod tests {
             (UserId(1), p, SimTime::at_day(3)),
             (UserId(0), p, SimTime::at_day(4)), // dup: dropped
         ];
-        assert_eq!(w.ingest_likes(&batch, Exec::Sequential), 2);
+        assert_eq!(
+            w.ingest_like_columns(&LikeColumns::from_rows(&batch), Exec::Sequential),
+            2
+        );
         assert_eq!(w.visible_likers(p), vec![UserId(0), UserId(1)]);
         assert_eq!(w.likes().user_like_count(UserId(2)), 0);
     }

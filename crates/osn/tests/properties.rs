@@ -3,8 +3,8 @@
 use likelab_graph::{PageId, UserId};
 use likelab_osn::demographics::{AgeBracket, Blueprint, Country};
 use likelab_osn::{
-    ActorClass, AudienceReport, Gender, LikeLedger, OsnWorld, PageCategory, PrivacySettings,
-    Profile,
+    ActorClass, AudienceReport, Gender, LikeColumns, LikeLedger, OsnWorld, PageCategory,
+    PrivacySettings, Profile,
 };
 use likelab_sim::{Rng, SimTime};
 use proptest::prelude::*;
@@ -115,7 +115,7 @@ proptest! {
             by_record.record(u, p, t);
         }
         let mut by_batch = LikeLedger::new(10, n_pages);
-        let accepted = by_batch.ingest_batch(&batch, Exec::workers(workers));
+        let accepted = by_batch.ingest_columns(&LikeColumns::from_rows(&batch), Exec::workers(workers));
         prop_assert_eq!(accepted, by_record.len());
         prop_assert_eq!(
             by_batch.records().collect::<Vec<_>>(),

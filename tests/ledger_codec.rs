@@ -11,7 +11,7 @@
 //! 2. **Ledger differential** — a naive reference ledger built on `Vec` and
 //!    linear scans answers every public [`LikeLedger`] query on a generated
 //!    world; the packed ledger must agree exactly, including iteration order,
-//!    across shard boundaries and for both `record` and `ingest_batch` paths.
+//!    across shard boundaries and for both `record` and `ingest_columns` paths.
 
 use std::collections::BTreeSet;
 
@@ -275,7 +275,7 @@ proptest! {
                 .iter()
                 .map(|&(u, raw, t)| (UserId(u), PageId(band_page(raw)), SimTime::from_secs(t)))
                 .collect();
-            let accepted = ledger.ingest_batch(&batch, Exec::workers(workers));
+            let accepted = ledger.ingest_columns(&LikeColumns::from_rows(&batch), Exec::workers(workers));
             let want: usize = chunk
                 .iter()
                 .map(|&(u, raw, t)| reference.record(u, band_page(raw), t) as usize)
@@ -287,10 +287,10 @@ proptest! {
 
     /// Differential: the columnar ingest path (what the event loop and the
     /// population synthesizer feed) is observationally the same ledger as the
-    /// reference. `sparse` flips the account count so the same draws route
-    /// through either the dense counting-sort kernel (24 accounts: every
-    /// batch is "large") or the sparse sorted-triples kernel (4096 accounts:
-    /// every batch stays under the `n_users / 8` threshold).
+    /// reference. `sparse` flips the account count so the same draws take
+    /// either the counting-sort grouping (24 accounts: every batch is
+    /// "large") or the sorted-pairs grouping (4096 accounts: every batch
+    /// stays under the `n_users / 8` threshold).
     #[test]
     fn ledger_ingest_columns_matches_vec_reference(
         likes in prop::collection::vec((0u32..24, 0u32..120, 0u64..50_000), 0..250),

@@ -3,9 +3,11 @@
 //! This is what licenses running tests and CI at small scales while quoting
 //! full-scale results in EXPERIMENTS.md.
 
-use likelab::osn::GeoBucket;
+use likelab::osn::{DetectorUpdate, EventFanout, GeoBucket, OsnWorld, WorldEvent};
 use likelab::sim::Exec;
-use likelab::{run_study, run_study_opts, run_study_with, RunOptions, StudyConfig, StudyOutcome};
+use likelab::{
+    run_study, run_study_opts, run_study_with, RunOptions, StudyConfig, StudyOutcome, StudyRecord,
+};
 use std::sync::OnceLock;
 
 const SMALL: f64 = 0.06;
@@ -137,32 +139,85 @@ fn scale_preset_report_is_worker_invariant() {
     }
 }
 
-/// Draining runs of consecutive like events as one columnar batch (the
-/// default event loop) is byte-identical to the historical per-event loop:
-/// like handling draws no randomness, and account status only changes at
-/// sweep events, which terminate every coalesced run. The report JSON — the
-/// full observable output of a run — must not differ by a single byte.
+/// The one like-ingest fold against a per-like reference. A captured log is
+/// folded (a) through `apply_event`, which takes every `LikeBatch` through
+/// the ledger's batch kernel, and (b) through a reference that expands each
+/// `LikeBatch` into per-item `record_like` calls. Both must build the same
+/// ledger, and the fanout's `LikeAccepted` stream must be exactly the likes
+/// the reference accepted, in order.
 #[test]
-fn coalesced_like_ingest_matches_per_event_loop() {
+fn batch_like_fold_matches_per_like_reference() {
     let config = StudyConfig::scale_world(7, 0.01);
-    let json_for = |coalesce: bool| {
-        run_study_opts(
-            &config,
-            &RunOptions {
-                coalesce_likes: coalesce,
-                ..RunOptions::default()
-            },
-        )
-        .expect("study runs")
-        .report
-        .to_json()
-        .expect("report serializes")
-    };
-    let coalesced = json_for(true);
-    assert!(!coalesced.is_empty());
-    assert!(
-        coalesced == json_for(false),
-        "coalesced like ingest diverged from the per-event loop"
+    let log = run_study_opts(
+        &config,
+        &RunOptions {
+            capture_log: true,
+            ..RunOptions::default()
+        },
+    )
+    .expect("study runs")
+    .log
+    .expect("log captured");
+
+    let mut folded = OsnWorld::new();
+    let mut reference = OsnWorld::new();
+    let mut reference_accepted = Vec::new();
+    let mut fanout = EventFanout::new();
+    let mut streamed = Vec::new();
+    let mut batches = 0usize;
+    for (_, record) in log.records() {
+        let StudyRecord::World(ev) = record else {
+            continue;
+        };
+        folded.apply_event(ev);
+        match ev {
+            WorldEvent::Like { user, page, at } => {
+                if reference.record_like(*user, *page, *at) {
+                    reference_accepted.push((*user, *page, *at));
+                }
+            }
+            WorldEvent::LikeBatch { likes } => {
+                batches += 1;
+                for &(user, page, at) in likes {
+                    if reference.record_like(user, page, at) {
+                        reference_accepted.push((user, page, at));
+                    }
+                }
+            }
+            other => reference.apply_event(other),
+        }
+        fanout.apply(ev, |update| {
+            if let DetectorUpdate::LikeAccepted { user, page, at } = update {
+                streamed.push((user, page, at));
+            }
+        });
+    }
+    assert!(batches > 0, "the log must carry like batches");
+
+    let (a, b) = (folded.likes(), reference.likes());
+    assert_eq!(
+        a.records().collect::<Vec<_>>(),
+        b.records().collect::<Vec<_>>()
+    );
+    for user in reference.user_ids() {
+        assert_eq!(
+            a.of_user(user).collect::<Vec<_>>(),
+            b.of_user(user).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            a.user_pages(user).collect::<Vec<_>>(),
+            b.user_pages(user).collect::<Vec<_>>()
+        );
+    }
+    for page in reference.page_ids() {
+        assert_eq!(
+            a.of_page(page).collect::<Vec<_>>(),
+            b.of_page(page).collect::<Vec<_>>()
+        );
+    }
+    assert_eq!(
+        streamed, reference_accepted,
+        "fanout LikeAccepted stream must equal the per-like reference's accepted likes"
     );
 }
 

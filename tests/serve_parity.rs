@@ -205,9 +205,8 @@ fn mid_stream_seq_regression_is_rejected() {
 }
 
 /// Packed-ledger parity: the batch world builds its bit-packed posting lists
-/// through bulk parallel `ingest_batch`, while the serve engine folds the
-/// same likes one `record` at a time from the log. Those are maximally
-/// different construction orders for the packed encoding — every observable
+/// through bulk parallel `ingest_columns`, while the serve engine re-folds
+/// the same likes from the decoded log, sequentially. Every observable
 /// ledger query must still agree exactly, including iteration order.
 #[test]
 fn packed_ledger_folds_identically_online_and_batch() {
