@@ -27,7 +27,7 @@ use likelab_graph::PageId;
 use likelab_honeypot::PageMonitor;
 use likelab_osn::population::Population;
 use likelab_osn::{CrawlApi, FraudOps, OsnWorld};
-use likelab_sim::event::decode_binary;
+use likelab_sim::event::decode_frames;
 use likelab_sim::{Engine, EventQueue, Rng, SimTime, Trace};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -150,8 +150,8 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
             cp.log_bytes
         )));
     }
-    let (_header, raw) = decode_binary(&bytes[..cp.log_bytes as usize])?;
-    let records = parse_records(raw)?;
+    let (_header, frames) = decode_frames(&bytes[..cp.log_bytes as usize])?;
+    let records = parse_records(frames)?;
     let mut world = OsnWorld::new();
     likelab_obs::metrics::timed("log.replay.ns", || {
         for (_seq, record) in &records {

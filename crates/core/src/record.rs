@@ -19,8 +19,8 @@ use likelab_graph::PageId;
 use likelab_honeypot::{BaselineRecord, CrawlCoverage, LikerRecord, Observation};
 use likelab_osn::WorldEvent;
 use likelab_sim::event::{
-    decode_binary, decode_jsonl, encode_binary, encode_jsonl, FrameWriter, LogError, LogHeader,
-    LogRecord, MAGIC,
+    decode_frames, decode_jsonl, jsonl_header_line, jsonl_record_line, FrameWriter, LogError,
+    LogHeader, LogRecord, MAGIC,
 };
 use likelab_sim::SimTime;
 use serde::{Deserialize, Serialize, Value};
@@ -311,52 +311,58 @@ impl StudyLog {
         &self.records
     }
 
-    /// Render the captured records as a JSONL log (for diffing/grepping).
+    /// Render the captured records as a JSONL log (for diffing/grepping),
+    /// lowering one record at a time.
     pub fn to_jsonl(&self) -> Result<String, StudyError> {
-        let records: Vec<LogRecord> = self
-            .records
-            .iter()
-            .map(|(seq, r)| LogRecord {
-                seq: *seq,
-                payload: r.to_value(),
-            })
-            .collect();
-        Ok(encode_jsonl(&self.header, &records)?)
+        let mut out = String::new();
+        jsonl_header_line(&mut out, &self.header);
+        for (seq, r) in &self.records {
+            jsonl_record_line(&mut out, *seq, &r.to_value());
+        }
+        Ok(out)
     }
 
     /// Encode the captured records through the binary framing (header,
     /// length-prefixed checksummed frames) — the same bytes a streamed
-    /// sink would hold. Used by the `world_log` bench to measure append
-    /// throughput without a disk sink in the loop.
+    /// sink would hold. Each record is lowered, framed and dropped before
+    /// the next, so the log never exists as one value tree. The benches
+    /// (`world_log`, `world_serve`, likebench) and the serve parity tests
+    /// use it to get a log's bytes without a disk sink.
     pub fn to_binary(&self) -> Result<Vec<u8>, StudyError> {
-        let records: Vec<LogRecord> = self
-            .records
-            .iter()
-            .map(|(seq, r)| LogRecord {
-                seq: *seq,
-                payload: r.to_value(),
-            })
-            .collect();
-        Ok(encode_binary(&self.header, &records)?)
+        let mut out = FrameWriter::new(Vec::new(), &self.header)?;
+        for (seq, r) in &self.records {
+            out.append(*seq, &r.to_value())?;
+        }
+        Ok(out.into_inner())
     }
 }
 
-/// Parse decoded log records into study records; any failure names the
-/// offending sequence number.
+/// Parse log records into study records as they arrive, dropping each
+/// decoded payload once parsed. Errors keep the precedence of decoding the
+/// whole stream first: a framing error anywhere beats an unparseable
+/// record, and among unparseable records the first one is named by its
+/// sequence number.
 pub(crate) fn parse_records(
-    records: Vec<LogRecord>,
+    records: impl IntoIterator<Item = Result<LogRecord, LogError>>,
 ) -> Result<Vec<(u64, StudyRecord)>, StudyError> {
-    records
-        .into_iter()
-        .map(|r| {
-            let parsed =
-                Deserialize::from_value(&r.payload).map_err(|e| StudyError::BadRecord {
+    let mut parsed = Vec::new();
+    let mut bad = None;
+    for r in records {
+        let r = r?;
+        if bad.is_some() {
+            continue;
+        }
+        match Deserialize::from_value(&r.payload) {
+            Ok(record) => parsed.push((r.seq, record)),
+            Err(e) => {
+                bad = Some(StudyError::BadRecord {
                     seq: r.seq,
                     reason: e.to_string(),
-                })?;
-            Ok((r.seq, parsed))
-        })
-        .collect()
+                })
+            }
+        }
+    }
+    bad.map_or(Ok(parsed), Err)
 }
 
 /// Read a study log from disk: binary (sniffed by the `LLOG` magic) or
@@ -364,14 +370,14 @@ pub(crate) fn parse_records(
 /// unparseable record is a hard error, never a partial stream.
 pub fn read_study_log(path: &Path) -> Result<(LogHeader, Vec<(u64, StudyRecord)>), StudyError> {
     let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    let (header, raw) = if bytes.starts_with(&MAGIC) {
-        decode_binary(&bytes)?
-    } else {
-        let text = String::from_utf8(bytes)
-            .map_err(|e| io_err(path, format!("not utf-8 (and not a binary log): {e}")))?;
-        decode_jsonl(&text)?
-    };
-    Ok((header, parse_records(raw)?))
+    if bytes.starts_with(&MAGIC) {
+        let (header, frames) = decode_frames(&bytes)?;
+        return Ok((header, parse_records(frames)?));
+    }
+    let text = String::from_utf8(bytes)
+        .map_err(|e| io_err(path, format!("not utf-8 (and not a binary log): {e}")))?;
+    let (header, raw) = decode_jsonl(&text)?;
+    Ok((header, parse_records(raw.into_iter().map(Ok))?))
 }
 
 /// Write a text file atomically: write to a sibling `.tmp`, then rename.
@@ -385,4 +391,41 @@ pub(crate) fn write_atomic(path: &Path, content: &str) -> Result<(), StudyError>
     }
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fork(seq: u64) -> Result<LogRecord, LogError> {
+        let payload = StudyRecord::RngFork {
+            label: "population".into(),
+        }
+        .to_value();
+        Ok(LogRecord { seq, payload })
+    }
+
+    fn junk(seq: u64) -> Result<LogRecord, LogError> {
+        Ok(LogRecord {
+            seq,
+            payload: Value::Str("not a study record".into()),
+        })
+    }
+
+    #[test]
+    fn parse_records_streams_with_whole_stream_error_precedence() {
+        let parsed = parse_records([fork(0), fork(1)]).unwrap();
+        assert_eq!(parsed.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [0, 1]);
+        // The first unparseable record is named ...
+        assert!(matches!(
+            parse_records([fork(0), junk(1), junk(2)]),
+            Err(StudyError::BadRecord { seq: 1, .. })
+        ));
+        // ... unless the stream fails to decode further on.
+        let cut = Err(LogError::Truncated { offset: 99 });
+        assert!(matches!(
+            parse_records([fork(0), junk(1), fork(2), cut]),
+            Err(StudyError::Log(LogError::Truncated { offset: 99 }))
+        ));
+    }
 }

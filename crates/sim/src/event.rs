@@ -149,8 +149,8 @@ impl From<io::Error> for LogError {
 
 /// FNV-1a over a byte slice — the per-record integrity checksum. Not
 /// cryptographic; it catches the bit rot and partial writes a capture file
-/// meets in practice. Shared with the incremental [`crate::tail`] decoder.
-pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
+/// meets in practice.
+fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for b in bytes {
         h ^= u64::from(*b);
@@ -159,155 +159,265 @@ pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     h
 }
 
-fn payload_bytes(payload: &Value) -> Result<Vec<u8>, LogError> {
-    serde_json::to_string(payload)
-        .map(String::into_bytes)
-        .map_err(|e| LogError::Io(e.to_string()))
+/// Fixed bytes before the header's variable-length meta document:
+/// magic (4) + version (2) + reserved (2) + meta length (4).
+pub(crate) const HEADER_FIXED: usize = 12;
+
+/// Fixed bytes before a frame's payload: len (4) + seq (8) + checksum (8).
+pub(crate) const FRAME_FIXED: usize = 20;
+
+/// Largest render buffer a [`FrameWriter`] keeps for its next frame. One
+/// outsized record (a population-sized like batch) must not pin its size
+/// for the rest of a run.
+const KEEP_BODY: usize = 1 << 20;
+
+/// A rendered document's length as the `u32` length field that frames it.
+fn len_field(doc: &str) -> Result<u32, LogError> {
+    u32::try_from(doc.len()).map_err(|_| {
+        LogError::Io(format!(
+            "{} byte document overflows a u32 length",
+            doc.len()
+        ))
+    })
 }
 
-fn header_bytes(header: &LogHeader) -> Result<Vec<u8>, LogError> {
-    let meta = payload_bytes(&header.meta)?;
-    let mut out = Vec::with_capacity(meta.len() + 16);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&header.version.to_le_bytes());
-    out.extend_from_slice(&[0u8; 2]); // reserved
-    out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-    out.extend_from_slice(&meta);
-    Ok(out)
+/// Write the binary header: magic, version, two reserved bytes, meta
+/// length, meta JSON. Returns the bytes written.
+fn write_header<W: io::Write>(out: &mut W, header: &LogHeader) -> Result<u64, LogError> {
+    let mut meta = String::new();
+    serde_json::write_value(&mut meta, &header.meta);
+    let len = len_field(&meta)?;
+    out.write_all(&MAGIC)?;
+    out.write_all(&header.version.to_le_bytes())?;
+    out.write_all(&[0u8; 2])?; // reserved
+    out.write_all(&len.to_le_bytes())?;
+    out.write_all(meta.as_bytes())?;
+    Ok((HEADER_FIXED + meta.len()) as u64)
 }
 
-/// Frame one record: `[len: u32][seq: u64][fnv1a: u64][payload bytes]`.
-fn frame_bytes(seq: u64, payload: &Value) -> Result<Vec<u8>, LogError> {
-    let body = payload_bytes(payload)?;
-    let mut out = Vec::with_capacity(body.len() + 20);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&fnv1a_bytes(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    Ok(out)
+/// Write one frame, `[len: u32][seq: u64][fnv1a: u64][payload JSON]`,
+/// rendering the payload into `body`, a scratch buffer reused across
+/// frames. Returns the bytes written. The one frame encoder behind
+/// [`encode_binary`] and [`FrameWriter::append`].
+fn push_frame<W: io::Write>(
+    out: &mut W,
+    body: &mut String,
+    seq: u64,
+    payload: &Value,
+) -> Result<u64, LogError> {
+    body.clear();
+    serde_json::write_value(body, payload);
+    let len = len_field(body)?;
+    out.write_all(&len.to_le_bytes())?;
+    out.write_all(&seq.to_le_bytes())?;
+    out.write_all(&fnv1a_bytes(body.as_bytes()).to_le_bytes())?;
+    out.write_all(body.as_bytes())?;
+    Ok((FRAME_FIXED + body.len()) as u64)
 }
 
 /// Encode a whole log to the binary format.
 pub fn encode_binary(header: &LogHeader, records: &[LogRecord]) -> Result<Vec<u8>, LogError> {
-    let mut out = header_bytes(header)?;
+    let mut out = Vec::new();
+    write_header(&mut out, header)?;
+    let mut body = String::new();
     for r in records {
-        out.extend_from_slice(&frame_bytes(r.seq, &r.payload)?);
+        push_frame(&mut out, &mut body, r.seq, &r.payload)?;
     }
     Ok(out)
 }
 
-/// Read a little-endian `u16` at `pos`; the array pattern makes the
-/// width check and the decode one infallible step.
-fn read_u16(bytes: &[u8], pos: usize) -> Result<u16, LogError> {
+/// The little-endian `u16` at `pos`, if those bytes exist; the array
+/// pattern makes the width check and the decode one infallible step.
+/// Shared, like `read_u32`, with the incremental [`crate::tail`] decoder.
+pub(crate) fn read_u16(bytes: &[u8], pos: usize) -> Option<u16> {
     match bytes.get(pos..pos + 2) {
-        Some(&[a, b]) => Ok(u16::from_le_bytes([a, b])),
-        _ => Err(LogError::Truncated { offset: pos as u64 }),
+        Some(&[a, b]) => Some(u16::from_le_bytes([a, b])),
+        _ => None,
     }
 }
 
-/// Read a little-endian `u32` at `pos`.
-fn read_u32(bytes: &[u8], pos: usize) -> Result<u32, LogError> {
+/// The little-endian `u32` at `pos`, if those bytes exist.
+pub(crate) fn read_u32(bytes: &[u8], pos: usize) -> Option<u32> {
     match bytes.get(pos..pos + 4) {
-        Some(&[a, b, c, d]) => Ok(u32::from_le_bytes([a, b, c, d])),
-        _ => Err(LogError::Truncated { offset: pos as u64 }),
+        Some(&[a, b, c, d]) => Some(u32::from_le_bytes([a, b, c, d])),
+        _ => None,
     }
 }
 
-/// Read a little-endian `u64` at `pos`.
-fn read_u64(bytes: &[u8], pos: usize) -> Result<u64, LogError> {
+/// The little-endian `u64` at `pos`, if those bytes exist.
+fn read_u64(bytes: &[u8], pos: usize) -> Option<u64> {
     match bytes.get(pos..pos + 8) {
-        Some(&[a, b, c, d, e, f, g, h]) => Ok(u64::from_le_bytes([a, b, c, d, e, f, g, h])),
-        _ => Err(LogError::Truncated { offset: pos as u64 }),
+        Some(&[a, b, c, d, e, f, g, h]) => Some(u64::from_le_bytes([a, b, c, d, e, f, g, h])),
+        _ => None,
     }
 }
 
-/// Decode a binary log. Strict: any framing, checksum, or ordering defect
-/// is an error, and no records are returned alongside one.
-pub fn decode_binary(bytes: &[u8]) -> Result<(LogHeader, Vec<LogRecord>), LogError> {
-    let take = |pos: usize, n: usize| -> Result<&[u8], LogError> {
-        bytes
-            .get(pos..pos + n)
-            .ok_or(LogError::Truncated { offset: pos as u64 })
-    };
+/// Parse the header's meta document, which starts at stream offset
+/// `offset`. Shared with the incremental [`crate::tail`] decoder.
+pub(crate) fn parse_meta(meta: &[u8], offset: u64) -> Result<Value, LogError> {
+    let text = std::str::from_utf8(meta).map_err(|e| LogError::Corrupt {
+        offset,
+        reason: format!("header not utf-8: {e}"),
+    })?;
+    serde_json::parse_value(text).map_err(|e| LogError::Corrupt {
+        offset,
+        reason: format!("header not json: {e}"),
+    })
+}
+
+/// The frame starting at `pos` split into `(seq, checksum, payload)`, or
+/// `Err(at)` with the offset of the first field whose bytes are missing.
+/// Shared with the incremental [`crate::tail`] decoder.
+pub(crate) fn split_frame(bytes: &[u8], pos: usize) -> Result<(u64, u64, &[u8]), u64> {
+    let len = read_u32(bytes, pos).ok_or(pos as u64)? as usize;
+    let seq = read_u64(bytes, pos + 4).ok_or((pos + 4) as u64)?;
+    let sum = read_u64(bytes, pos + 12).ok_or((pos + 12) as u64)?;
+    let body = bytes
+        .get(pos + FRAME_FIXED..pos + FRAME_FIXED + len)
+        .ok_or((pos + FRAME_FIXED) as u64)?;
+    Ok((seq, sum, body))
+}
+
+/// Judge one complete frame at stream offset `offset`: checksum, then
+/// sequence order against `prev`, then the payload JSON. Shared with the
+/// incremental [`crate::tail`] decoder.
+pub(crate) fn parse_frame(
+    offset: u64,
+    seq: u64,
+    sum: u64,
+    body: &[u8],
+    prev: Option<u64>,
+) -> Result<LogRecord, LogError> {
+    if fnv1a_bytes(body) != sum {
+        return Err(LogError::Corrupt {
+            offset,
+            reason: format!("checksum mismatch on record seq {seq}"),
+        });
+    }
+    if let Some(prev) = prev {
+        if seq <= prev {
+            return Err(LogError::NonMonotoneSeq { prev, next: seq });
+        }
+    }
+    let text = std::str::from_utf8(body).map_err(|e| LogError::Corrupt {
+        offset,
+        reason: format!("payload not utf-8: {e}"),
+    })?;
+    let payload = serde_json::parse_value(text).map_err(|e| LogError::Corrupt {
+        offset,
+        reason: format!("payload not json: {e}"),
+    })?;
+    Ok(LogRecord { seq, payload })
+}
+
+/// Decode a binary log's header and return it with a strict iterator over
+/// the records that follow. The iterator yields records in order and ends
+/// after the first error, so a consumer can process (and drop) one record
+/// at a time with exactly the errors [`decode_binary`] reports.
+pub fn decode_frames(bytes: &[u8]) -> Result<(LogHeader, Frames<'_>), LogError> {
     if bytes.len() < 4 {
         return Err(LogError::Truncated { offset: 0 });
     }
     if bytes[0..4] != MAGIC {
         return Err(LogError::BadMagic);
     }
-    let version = read_u16(bytes, 4)?;
+    let version = read_u16(bytes, 4).ok_or(LogError::Truncated { offset: 4 })?;
     if version != FORMAT_VERSION {
         return Err(LogError::VersionMismatch {
             found: version,
             expected: FORMAT_VERSION,
         });
     }
-    let meta_len = read_u32(bytes, 8)? as usize;
-    let meta_bytes = take(12, meta_len)?;
-    let meta_text = std::str::from_utf8(meta_bytes).map_err(|e| LogError::Corrupt {
-        offset: 12,
-        reason: format!("header not utf-8: {e}"),
-    })?;
-    let meta: Value = serde_json::from_str(meta_text).map_err(|e| LogError::Corrupt {
-        offset: 12,
-        reason: format!("header not json: {e}"),
-    })?;
-    let header = LogHeader { version, meta };
+    let meta_len = read_u32(bytes, 8).ok_or(LogError::Truncated { offset: 8 })? as usize;
+    let meta = bytes
+        .get(HEADER_FIXED..HEADER_FIXED + meta_len)
+        .ok_or(LogError::Truncated {
+            offset: HEADER_FIXED as u64,
+        })?;
+    let header = LogHeader {
+        version,
+        meta: parse_meta(meta, HEADER_FIXED as u64)?,
+    };
+    let frames = Frames {
+        bytes,
+        pos: HEADER_FIXED + meta_len,
+        prev_seq: None,
+    };
+    Ok((header, frames))
+}
 
-    let mut records = Vec::new();
-    let mut pos = 12 + meta_len;
-    let mut prev_seq: Option<u64> = None;
-    while pos < bytes.len() {
-        let len = read_u32(bytes, pos)? as usize;
-        let seq = read_u64(bytes, pos + 4)?;
-        let sum = read_u64(bytes, pos + 12)?;
-        let body = take(pos + 20, len)?;
-        if fnv1a_bytes(body) != sum {
-            return Err(LogError::Corrupt {
-                offset: pos as u64,
-                reason: format!("checksum mismatch on record seq {seq}"),
-            });
+/// Decode a binary log. Strict: any framing, checksum, or ordering defect
+/// is an error, and no records are returned alongside one.
+pub fn decode_binary(bytes: &[u8]) -> Result<(LogHeader, Vec<LogRecord>), LogError> {
+    let (header, frames) = decode_frames(bytes)?;
+    Ok((header, frames.collect::<Result<_, _>>()?))
+}
+
+/// The records of a binary log, from [`decode_frames`].
+#[derive(Debug)]
+pub struct Frames<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    prev_seq: Option<u64>,
+}
+
+impl Iterator for Frames<'_> {
+    type Item = Result<LogRecord, LogError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.pos >= self.bytes.len() {
+            return None;
         }
-        if let Some(prev) = prev_seq {
-            if seq <= prev {
-                return Err(LogError::NonMonotoneSeq { prev, next: seq });
+        let at = self.pos;
+        let next = match split_frame(self.bytes, at) {
+            Ok((seq, sum, body)) => parse_frame(at as u64, seq, sum, body, self.prev_seq)
+                .map(|r| (r, at + FRAME_FIXED + body.len())),
+            Err(offset) => Err(LogError::Truncated { offset }),
+        };
+        Some(match next {
+            Ok((record, end)) => {
+                self.pos = end;
+                self.prev_seq = Some(record.seq);
+                Ok(record)
             }
-        }
-        let text = std::str::from_utf8(body).map_err(|e| LogError::Corrupt {
-            offset: pos as u64,
-            reason: format!("payload not utf-8: {e}"),
-        })?;
-        let payload: Value = serde_json::from_str(text).map_err(|e| LogError::Corrupt {
-            offset: pos as u64,
-            reason: format!("payload not json: {e}"),
-        })?;
-        records.push(LogRecord { seq, payload });
-        prev_seq = Some(seq);
-        pos += 20 + len;
+            Err(e) => {
+                self.pos = self.bytes.len(); // strict: nothing after an error
+                Err(e)
+            }
+        })
     }
-    Ok((header, records))
 }
 
 /// Encode a whole log to the JSONL format (header line, then one record
 /// per line).
 pub fn encode_jsonl(header: &LogHeader, records: &[LogRecord]) -> Result<String, LogError> {
     let mut out = String::new();
+    jsonl_header_line(&mut out, header);
+    for r in records {
+        jsonl_record_line(&mut out, r.seq, &r.payload);
+    }
+    Ok(out)
+}
+
+/// Append the JSONL header line, `{"magic":…,"version":…,"meta":…}`.
+pub fn jsonl_header_line(out: &mut String, header: &LogHeader) {
     let head = Value::Object(vec![
         ("magic".into(), Value::Str(JSONL_MAGIC.into())),
         ("version".into(), Value::UInt(u64::from(header.version))),
         ("meta".into(), header.meta.clone()),
     ]);
-    out.push_str(&serde_json::to_string(&head).map_err(|e| LogError::Io(e.to_string()))?);
+    serde_json::write_value(out, &head);
     out.push('\n');
-    for r in records {
-        let line = Value::Object(vec![
-            ("seq".into(), Value::UInt(r.seq)),
-            ("event".into(), r.payload.clone()),
-        ]);
-        out.push_str(&serde_json::to_string(&line).map_err(|e| LogError::Io(e.to_string()))?);
-        out.push('\n');
-    }
-    Ok(out)
+}
+
+/// Append one JSONL record line, `{"seq":…,"event":…}`: the bytes of that
+/// object rendered compact, without building it around `payload`.
+pub fn jsonl_record_line(out: &mut String, seq: u64, payload: &Value) {
+    out.push_str("{\"seq\":");
+    serde_json::write_value(out, &Value::UInt(seq));
+    out.push_str(",\"event\":");
+    serde_json::write_value(out, payload);
+    out.push_str("}\n");
 }
 
 /// Decode a JSONL log. Offsets in errors are 1-based line numbers.
@@ -316,7 +426,7 @@ pub fn decode_jsonl(text: &str) -> Result<(LogHeader, Vec<LogRecord>), LogError>
     let Some((_, first)) = lines.next() else {
         return Err(LogError::Truncated { offset: 0 });
     };
-    let head: Value = serde_json::from_str(first).map_err(|_| LogError::BadMagic)?;
+    let head = serde_json::parse_value(first).map_err(|_| LogError::BadMagic)?;
     if head.get("magic").and_then(Value::as_str) != Some(JSONL_MAGIC) {
         return Err(LogError::BadMagic);
     }
@@ -338,7 +448,7 @@ pub fn decode_jsonl(text: &str) -> Result<(LogHeader, Vec<LogRecord>), LogError>
         if line.trim().is_empty() {
             continue;
         }
-        let v: Value = serde_json::from_str(line).map_err(|e| LogError::Corrupt {
+        let v = serde_json::parse_value(line).map_err(|e| LogError::Corrupt {
             offset,
             reason: format!("line not json: {e}"),
         })?;
@@ -356,7 +466,11 @@ pub fn decode_jsonl(text: &str) -> Result<(LogHeader, Vec<LogRecord>), LogError>
                 return Err(LogError::NonMonotoneSeq { prev, next: seq });
             }
         }
-        let payload = v.get("event").cloned().ok_or_else(|| LogError::Corrupt {
+        let event = match v {
+            Value::Object(fields) => fields.into_iter().find(|(k, _)| k == "event"),
+            _ => None,
+        };
+        let payload = event.map(|(_, e)| e).ok_or_else(|| LogError::Corrupt {
             offset,
             reason: "record missing `event`".into(),
         })?;
@@ -375,18 +489,15 @@ pub struct FrameWriter<W: io::Write> {
     sink: W,
     bytes: u64,
     last_seq: Option<u64>,
+    /// Payload render buffer, reused across frames.
+    body: String,
 }
 
 impl<W: io::Write> FrameWriter<W> {
     /// Start a fresh stream: writes the header immediately.
     pub fn new(mut sink: W, header: &LogHeader) -> Result<Self, LogError> {
-        let head = header_bytes(header)?;
-        sink.write_all(&head)?;
-        Ok(FrameWriter {
-            sink,
-            bytes: head.len() as u64,
-            last_seq: None,
-        })
+        let bytes = write_header(&mut sink, header)?;
+        Ok(FrameWriter::resume(sink, bytes, None))
     }
 
     /// Continue an existing stream (header already on disk): the sink must
@@ -397,6 +508,7 @@ impl<W: io::Write> FrameWriter<W> {
             sink,
             bytes,
             last_seq,
+            body: String::new(),
         }
     }
 
@@ -407,11 +519,17 @@ impl<W: io::Write> FrameWriter<W> {
                 return Err(LogError::NonMonotoneSeq { prev, next: seq });
             }
         }
-        let frame = frame_bytes(seq, payload)?;
-        self.sink.write_all(&frame)?;
-        self.bytes += frame.len() as u64;
+        self.bytes += push_frame(&mut self.sink, &mut self.body, seq, payload)?;
+        if self.body.capacity() > KEEP_BODY {
+            self.body = String::new();
+        }
         self.last_seq = Some(seq);
         Ok(())
+    }
+
+    /// The sink, with everything appended so far written to it.
+    pub fn into_inner(self) -> W {
+        self.sink
     }
 
     /// Flush the sink (call before pinning a checkpoint offset).
@@ -536,6 +654,26 @@ mod tests {
             decode_jsonl(&text),
             Err(LogError::NonMonotoneSeq { prev: 5, next: 5 })
         );
+    }
+
+    #[test]
+    fn frames_stop_after_the_first_error() {
+        let records = sample_records();
+        let mut bytes = encode_binary(&sample_header(), &records).unwrap();
+        let (_, intact) = decode_frames(&bytes).unwrap();
+        assert_eq!(intact.collect::<Result<Vec<_>, _>>(), Ok(records.clone()));
+        // Damage the second frame's payload: one record, one error, done.
+        let second = encode_binary(&sample_header(), &records[..1])
+            .unwrap()
+            .len();
+        bytes[second + 20] ^= 1;
+        let (_, mut frames) = decode_frames(&bytes).unwrap();
+        assert_eq!(frames.next(), Some(Ok(records[0].clone())));
+        assert!(matches!(
+            frames.next(),
+            Some(Err(LogError::Corrupt { offset, .. })) if offset == second as u64
+        ));
+        assert_eq!(frames.next(), None);
     }
 
     #[test]

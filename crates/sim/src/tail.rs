@@ -6,10 +6,13 @@
 //! still writes it ends mid-record almost all the time, and that is not
 //! corruption, it is just data that has not arrived yet.
 //!
-//! [`TailReader`] is the same decoder re-expressed incrementally: bytes go
-//! in via [`extend`](TailReader::extend) in whatever chunks the transport
+//! [`TailReader`] is the same decoder re-expressed incrementally (it shares
+//! the strict decoder's frame splitting and checks): bytes go in via
+//! [`extend`](TailReader::extend) in whatever chunks the transport
 //! produces, complete frames come out of [`next_record`](TailReader::next_record),
 //! and an incomplete tail means "not yet" (`Ok(None)`) instead of an error.
+//! Consumed bytes are dropped by the next `extend`, never while decoding,
+//! so a whole-log catch-up is one linear pass.
 //! Every *integrity* defect — bad magic, version skew, checksum mismatch, a
 //! sequence number that fails to strictly increase — is still a hard error
 //! the moment the offending bytes are complete enough to judge. When the
@@ -25,19 +28,15 @@
 //! exactly the records `decode_binary` yields — asserted by tests below and
 //! by the chunk-split property test in the serve parity suite.
 
-use crate::event::{fnv1a_bytes, LogError, LogHeader, LogRecord, FORMAT_VERSION, MAGIC};
-use serde::Value;
+use crate::event::{
+    parse_frame, parse_meta, read_u16, read_u32, split_frame, LogError, LogHeader, LogRecord,
+    FORMAT_VERSION, FRAME_FIXED, HEADER_FIXED, MAGIC,
+};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-/// Fixed bytes before the header's variable-length meta document:
-/// magic (4) + version (2) + reserved (2) + meta length (4).
-const HEADER_FIXED: usize = 12;
-
-/// Fixed bytes before a frame's payload: len (4) + seq (8) + checksum (8).
-const FRAME_FIXED: usize = 20;
-
-/// Consumed-prefix size past which the internal buffer is compacted.
+/// Consumed-prefix size from which [`TailReader::extend`] drops the
+/// consumed bytes before appending.
 const COMPACT_THRESHOLD: usize = 64 * 1024;
 
 /// Incremental binary-log decoder. See the module docs.
@@ -97,7 +96,19 @@ impl TailReader {
 
     /// Append newly arrived bytes (any chunking, including one byte at a
     /// time).
+    ///
+    /// Compaction happens here and only here: once the consumed prefix
+    /// reaches 64 KiB, it is dropped before the new bytes are appended.
+    /// Decoding never moves the buffer, so draining a whole log fed in one
+    /// piece costs one pass over it, and a follower fed small appends
+    /// keeps at most one append's worth of consumed bytes beyond the
+    /// threshold. Offsets stay absolute throughout.
     pub fn extend(&mut self, bytes: &[u8]) {
+        if self.pos >= COMPACT_THRESHOLD {
+            self.buf.drain(..self.pos);
+            self.base += self.pos as u64;
+            self.pos = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -126,35 +137,6 @@ impl TailReader {
         self.base + rel as u64
     }
 
-    /// `n` bytes at buffer offset `at`, or `None` while they have not
-    /// arrived yet.
-    fn peek(&self, at: usize, n: usize) -> Option<&[u8]> {
-        self.buf.get(at..at + n)
-    }
-
-    fn u32_at(&self, at: usize) -> Option<u32> {
-        match self.peek(at, 4) {
-            Some(&[a, b, c, d]) => Some(u32::from_le_bytes([a, b, c, d])),
-            _ => None,
-        }
-    }
-
-    fn u64_at(&self, at: usize) -> Option<u64> {
-        match self.peek(at, 8) {
-            Some(&[a, b, c, d, e, f, g, h]) => Some(u64::from_le_bytes([a, b, c, d, e, f, g, h])),
-            _ => None,
-        }
-    }
-
-    /// Drop the consumed prefix once it is large enough to matter.
-    fn compact(&mut self) {
-        if self.pos >= COMPACT_THRESHOLD {
-            self.buf.drain(..self.pos);
-            self.base += self.pos as u64;
-            self.pos = 0;
-        }
-    }
-
     /// Try to decode the header from the buffered bytes. `Ok(true)` once
     /// the header is available (now or previously), `Ok(false)` while more
     /// bytes are needed.
@@ -169,9 +151,8 @@ impl TailReader {
         if self.buf[..have] != MAGIC[..have] {
             return Err(LogError::BadMagic);
         }
-        let version = match self.peek(4, 2) {
-            Some(&[a, b]) => u16::from_le_bytes([a, b]),
-            _ => return Ok(false),
+        let Some(version) = read_u16(&self.buf, 4) else {
+            return Ok(false);
         };
         if version != FORMAT_VERSION {
             return Err(LogError::VersionMismatch {
@@ -179,21 +160,14 @@ impl TailReader {
                 expected: FORMAT_VERSION,
             });
         }
-        let Some(meta_len) = self.u32_at(8) else {
+        let Some(meta_len) = read_u32(&self.buf, 8) else {
             return Ok(false);
         };
         let meta_len = meta_len as usize;
-        let Some(meta_bytes) = self.peek(HEADER_FIXED, meta_len) else {
+        let Some(meta) = self.buf.get(HEADER_FIXED..HEADER_FIXED + meta_len) else {
             return Ok(false);
         };
-        let meta_text = std::str::from_utf8(meta_bytes).map_err(|e| LogError::Corrupt {
-            offset: self.abs(HEADER_FIXED),
-            reason: format!("header not utf-8: {e}"),
-        })?;
-        let meta: Value = serde_json::from_str(meta_text).map_err(|e| LogError::Corrupt {
-            offset: self.abs(HEADER_FIXED),
-            reason: format!("header not json: {e}"),
-        })?;
+        let meta = parse_meta(meta, self.abs(HEADER_FIXED))?;
         self.header = Some(LogHeader { version, meta });
         self.pos = HEADER_FIXED + meta_len;
         Ok(true)
@@ -226,39 +200,14 @@ impl TailReader {
             return Ok(None);
         }
         let at = self.pos;
-        let Some(len) = self.u32_at(at) else {
+        let Ok((seq, sum, body)) = split_frame(&self.buf, at) else {
             return Ok(None);
         };
-        let len = len as usize;
-        let (Some(seq), Some(sum)) = (self.u64_at(at + 4), self.u64_at(at + 12)) else {
-            return Ok(None);
-        };
-        let Some(body) = self.peek(at + FRAME_FIXED, len) else {
-            return Ok(None);
-        };
-        if fnv1a_bytes(body) != sum {
-            return Err(LogError::Corrupt {
-                offset: self.abs(at),
-                reason: format!("checksum mismatch on record seq {seq}"),
-            });
-        }
-        if let Some(prev) = self.last_seq {
-            if seq <= prev {
-                return Err(LogError::NonMonotoneSeq { prev, next: seq });
-            }
-        }
-        let text = std::str::from_utf8(body).map_err(|e| LogError::Corrupt {
-            offset: self.abs(at),
-            reason: format!("payload not utf-8: {e}"),
-        })?;
-        let payload: Value = serde_json::from_str(text).map_err(|e| LogError::Corrupt {
-            offset: self.abs(at),
-            reason: format!("payload not json: {e}"),
-        })?;
-        self.pos = at + FRAME_FIXED + len;
+        let end = at + FRAME_FIXED + body.len();
+        let record = parse_frame(self.abs(at), seq, sum, body, self.last_seq)?;
+        self.pos = end;
         self.last_seq = Some(seq);
-        self.compact();
-        Ok(Some(LogRecord { seq, payload }))
+        Ok(Some(record))
     }
 
     /// All records currently decodable, in order.
@@ -361,6 +310,7 @@ impl FollowReader {
 mod tests {
     use super::*;
     use crate::event::{decode_binary, encode_binary};
+    use serde::Value;
 
     fn sample() -> (LogHeader, Vec<LogRecord>) {
         let header = LogHeader::new(Value::Object(vec![(
@@ -524,6 +474,43 @@ mod tests {
         tail.extend(&bytes);
         assert_eq!(tail.next_record(), Ok(Some(big)));
         assert_eq!(tail.next_record(), Ok(Some(tail_rec)));
+        assert_eq!(tail.offset(), bytes.len() as u64);
+        tail.finish().unwrap();
+    }
+
+    #[test]
+    fn extend_drops_the_consumed_prefix_and_decoding_never_moves_it() {
+        let (header, _) = sample();
+        let records: Vec<LogRecord> = (1..=300)
+            .map(|i| LogRecord {
+                seq: i,
+                payload: Value::Str("x".repeat(1000)),
+            })
+            .collect();
+        let bytes = encode_binary(&header, &records).unwrap();
+
+        // Whole log in one piece: the drain leaves the buffer in place.
+        let mut whole = TailReader::new();
+        whole.extend(&bytes);
+        assert_eq!(whole.drain().unwrap(), records);
+        assert_eq!((whole.base, whole.buf.len()), (0, bytes.len()));
+        // The next extend drops everything consumed; offsets stay absolute.
+        whole.extend(&[]);
+        assert_eq!((whole.base, whole.buf.len()), (bytes.len() as u64, 0));
+        assert_eq!(whole.offset(), bytes.len() as u64);
+        whole.finish().unwrap();
+
+        // Small appends: the buffer stays within one append of the
+        // threshold, and records and offsets match the strict decoder.
+        let mut tail = TailReader::new();
+        let mut seen = Vec::new();
+        for piece in bytes.chunks(4096) {
+            tail.extend(piece);
+            assert!(tail.buf.len() < COMPACT_THRESHOLD + 2 * 4096);
+            seen.extend(tail.drain().unwrap());
+        }
+        assert_eq!(seen, records);
+        assert!(tail.base > 0, "compaction ran");
         assert_eq!(tail.offset(), bytes.len() as u64);
         tail.finish().unwrap();
     }
