@@ -97,17 +97,6 @@ pub struct RobustnessComparison {
     pub faulted_profile_coverage: f64,
 }
 
-impl RobustnessComparison {
-    /// Largest absolute per-campaign drift in peak-2h share — the one-number
-    /// summary of how much the fault regime distorted Figure 2's shape.
-    pub fn max_peak_share_drift(&self) -> f64 {
-        self.rows
-            .iter()
-            .map(|r| (r.peak_2h_share.0 - r.peak_2h_share.1).abs())
-            .fold(0.0, f64::max)
-    }
-}
-
 /// Compare a clean and a faulted run of the same study configuration.
 pub fn compare_reports(clean: &StudyReport, faulted: &StudyReport) -> RobustnessComparison {
     let rows = clean
@@ -287,7 +276,6 @@ mod tests {
         let faulted = clean.clone();
         let cmp = compare_reports(&clean, &faulted);
         assert_eq!(cmp.total_likes.0, cmp.total_likes.1);
-        assert_eq!(cmp.max_peak_share_drift(), 0.0);
         let text = cmp.render();
         assert!(text.contains("Crawl robustness"));
         assert!(text.contains("Totals:"));

@@ -167,17 +167,6 @@ impl ObservedSocial {
             .collect()
     }
 
-    /// Direct pairs with both endpoints inside one group (the induced
-    /// structure Figure 3 draws per color).
-    pub fn in_group_pairs(&self, p: Provider) -> Vec<(UserId, UserId)> {
-        let group = self.groups.get(&p).cloned().unwrap_or_default();
-        self.direct_pairs
-            .iter()
-            .filter(|(a, b)| group.contains(a) && group.contains(b))
-            .copied()
-            .collect()
-    }
-
     /// Direct pairs bridging two groups — the AL↔MS cross edges that point
     /// at a shared operator.
     pub fn cross_group_pairs(&self, a: Provider, b: Provider) -> Vec<(UserId, UserId)> {

@@ -502,6 +502,7 @@ fn opt_uint(v: Option<u64>) -> Value {
 fn param_u64(params: &Value, name: &str) -> Result<u64, String> {
     match params.get(name) {
         Some(Value::UInt(n)) => Ok(*n),
+        Some(Value::Int(n)) => Err(format!("`{name}` must be non-negative, got {n}")),
         Some(other) => Err(format!("`{name}` must be an integer, got {}", other.kind())),
         None => Err(format!("missing required param `{name}`")),
     }

@@ -107,14 +107,6 @@ impl FarmRoster {
         &self.specs[idx]
     }
 
-    /// The customer-job pages of an operator (empty until first order).
-    pub fn operator_job_pages(&self, operator: u16) -> &[PageId] {
-        self.job_pages
-            .get(&operator)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     fn ensure_job_pages(&mut self, world: &mut OsnWorld, operator: u16, now: SimTime) {
         if self.job_pages.contains_key(&operator) {
             return;

@@ -1,15 +1,21 @@
 //! Concurrency tests for the metrics registry: many writer threads, one
 //! merged snapshot, exact totals. These run in their own process (an
-//! integration-test binary), so they own the global observability state
-//! and don't need the unit tests' serialization lock.
+//! integration-test binary), apart from the unit tests; the two tests here
+//! take [`GLOBAL`] because each resets the global observability state,
+//! which would wipe the other's totals mid-run.
 
+use std::sync::Mutex;
 use std::thread;
+
+/// Serializes the tests in this binary over the global obs state.
+static GLOBAL: Mutex<()> = Mutex::new(());
 
 const THREADS: usize = 8;
 const INCREMENTS: u64 = 10_000;
 
 #[test]
 fn concurrent_writers_produce_exact_totals() {
+    let _global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     likelab_obs::reset();
     likelab_obs::enable();
     thread::scope(|scope| {
@@ -54,6 +60,7 @@ fn snapshot_merge_is_shard_order_independent() {
     // Merging is built on Histogram::merge (associative + commutative) and
     // counter addition; interleave writers with snapshot readers to check a
     // mid-flight snapshot never panics and never over-counts.
+    let _global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     likelab_obs::reset();
     likelab_obs::enable();
     thread::scope(|scope| {

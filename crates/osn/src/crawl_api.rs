@@ -46,13 +46,6 @@ pub enum CrawlError {
     Gone,
 }
 
-impl CrawlError {
-    /// True for errors a retry can overcome (everything but [`CrawlError::Gone`]).
-    pub fn is_retryable(self) -> bool {
-        !matches!(self, CrawlError::Gone)
-    }
-}
-
 impl std::fmt::Display for CrawlError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -157,12 +157,6 @@ impl EventFanout {
         }
         out
     }
-
-    /// Hand the replica world out (e.g. to run a batch detector over the
-    /// final state without a clone).
-    pub fn into_world(self) -> OsnWorld {
-        self.world
-    }
 }
 
 /// The latest timestamp an event carries, accepted or not (events without

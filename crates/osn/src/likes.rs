@@ -9,7 +9,7 @@
 //! At million-account scale the ledger holds tens of millions of records, so
 //! storage is struct-of-arrays (`users`/`pages`/`times` columns in global
 //! insertion order) and both indexes are bit-packed
-//! [`PostingList`](crate::posting::PostingList)s of global record indices —
+//! [`PostingList`]s of global record indices —
 //! strictly increasing by construction, so they delta-encode to a fraction
 //! of a raw `Vec<u32>` and decode through allocation-free iterators. The
 //! per-page index is **sharded by page-id range**: each shard owns
@@ -634,13 +634,6 @@ impl LikeLedger {
             .map(move |i| self.record_at(i))
     }
 
-    /// Like records of a page, sorted by time (stable on arrival order).
-    pub fn of_page_sorted(&self, page: PageId) -> Vec<LikeRecord> {
-        let mut v: Vec<LikeRecord> = self.of_page(page).collect();
-        v.sort_by_key(|r| r.at);
-        v
-    }
-
     /// Like records of a user, sorted by time (stable on arrival order).
     pub fn of_user_sorted(&self, user: UserId) -> Vec<LikeRecord> {
         let mut v: Vec<LikeRecord> = self.of_user(user).collect();
@@ -700,11 +693,13 @@ impl LikeLedger {
 
     /// How many pages `user` likes.
     pub fn user_like_count(&self, user: UserId) -> usize {
+        // lint:allow(panic-reachable-from-serve): serve checks user < account_count, and the world grows by_user with every account
         self.by_user[user.idx()].len()
     }
 
     /// How many users like `page`.
     pub fn page_like_count(&self, page: PageId) -> usize {
+        // lint:allow(panic-reachable-from-serve): serve checks page < page_count, and the world grows the shards with every page
         self.shards[page.idx() / SHARD_PAGES].by_page[page.idx() % SHARD_PAGES].len()
     }
 
@@ -778,8 +773,6 @@ mod tests {
         l.record(u(0), p(0), t(9));
         l.record(u(0), p(1), t(2)); // backfilled history
         l.record(u(1), p(0), t(1)); // backfilled on same page
-        let page0: Vec<u64> = l.of_page_sorted(p(0)).iter().map(|r| r.at.day()).collect();
-        assert_eq!(page0, vec![1, 9]);
         let user0: Vec<u64> = l.of_user_sorted(u(0)).iter().map(|r| r.at.day()).collect();
         assert_eq!(user0, vec![2, 9]);
         let raw: Vec<u64> = l.user_times(u(0)).map(|t| t.day()).collect();

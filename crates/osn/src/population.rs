@@ -21,7 +21,7 @@
 //! campaign launch; the study simply launches at the end of that window.
 
 use crate::account::{ActorClass, PrivacySettings};
-use crate::demographics::{AgeBracket, Blueprint, Country, Gender, GLOBAL_AGE_DIST};
+use crate::demographics::{Blueprint, Country, Gender};
 use crate::likes::LikeColumns;
 use crate::page::PageCategory;
 use crate::world::OsnWorld;
@@ -582,18 +582,10 @@ pub fn female_fraction(world: &OsnWorld, users: &[UserId]) -> f64 {
         / users.len() as f64
 }
 
-/// Sanity helper: checks the global age marginals roughly hold for a user
-/// set (used in tests; tolerance in absolute fraction per bracket).
-pub fn age_matches_global(dist: &[f64; 6], tolerance: f64) -> bool {
-    AgeBracket::ALL
-        .iter()
-        .enumerate()
-        .all(|(i, _)| (dist[i] - GLOBAL_AGE_DIST[i]).abs() <= tolerance)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::demographics::GLOBAL_AGE_DIST;
 
     fn small_config() -> PopulationConfig {
         PopulationConfig::default().scaled(0.02) // 1200 organics
@@ -640,7 +632,9 @@ mod tests {
         let (world, pop, _) = build();
         let dist = age_distribution(&world, &pop.organic);
         assert!(
-            age_matches_global(&dist, 0.04),
+            dist.iter()
+                .zip(GLOBAL_AGE_DIST)
+                .all(|(d, g)| (d - g).abs() <= 0.04),
             "organic age dist {dist:?} vs global {GLOBAL_AGE_DIST:?}"
         );
         let f = female_fraction(&world, &pop.organic);

@@ -197,11 +197,6 @@ impl PostingList {
             remaining: self.len,
         }
     }
-
-    /// Bytes of heap storage currently held (capacity, not length).
-    pub fn heap_bytes(&self) -> usize {
-        self.packed.capacity() + self.tail.capacity() * 4
-    }
 }
 
 impl<'a> IntoIterator for &'a PostingList {

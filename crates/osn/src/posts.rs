@@ -70,15 +70,6 @@ pub struct EngagementReport {
 }
 
 impl EngagementReport {
-    /// Reactions per post — what the page admin stares at in despair.
-    pub fn reactions_per_post(&self) -> f64 {
-        if self.posts == 0 {
-            0.0
-        } else {
-            self.reactions as f64 / self.posts as f64
-        }
-    }
-
     /// Reactions per delivered impression.
     pub fn engagement_rate(&self) -> f64 {
         if self.impressions == 0 {
@@ -233,6 +224,5 @@ mod tests {
                 ..Default::default()
             }
         );
-        assert_eq!(r.reactions_per_post(), 0.0);
     }
 }

@@ -7,14 +7,14 @@
 //! The same tool publishes global-population statistics, which Table 2's
 //! last row quotes. This module is that tool.
 
-use crate::demographics::{AgeBracket, Gender, GeoBucket};
+use crate::demographics::{Gender, GeoBucket};
 use crate::world::OsnWorld;
 use likelab_graph::{PageId, UserId};
 use likelab_sim::parallel::{parallel_map, Exec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Users per aggregation chunk in the `*_with` parallel paths. Large enough
+/// Users per aggregation chunk in the [`AudienceReport::global_with`] path. Large enough
 /// that per-chunk report overhead vanishes, small enough that a
 /// million-account world spreads over every worker.
 const CHUNK_USERS: usize = 65_536;
@@ -72,7 +72,7 @@ impl AudienceReport {
 
     /// Fold another report's counts into this one. Every field is a sum, so
     /// the merged result is independent of merge order — which is what makes
-    /// the chunked parallel paths deterministic for any worker count.
+    /// the chunked parallel path deterministic for any worker count.
     fn merge(&mut self, other: AudienceReport) {
         self.total += other.total;
         self.female += other.female;
@@ -83,26 +83,6 @@ impl AudienceReport {
         for (k, v) in other.country_counts {
             *self.country_counts.entry(k).or_insert(0) += v;
         }
-    }
-
-    /// [`over_users`][Self::over_users], aggregated chunk-by-chunk through
-    /// `exec`. Identical output for every `exec` (partial reports are summed
-    /// in chunk order, and sums commute anyway).
-    pub fn over_users_with(world: &OsnWorld, users: &[UserId], exec: Exec) -> Self {
-        Self::over_users_chunked(world, users, exec, CHUNK_USERS)
-    }
-
-    fn over_users_chunked(world: &OsnWorld, users: &[UserId], exec: Exec, chunk: usize) -> Self {
-        if users.len() <= chunk {
-            return Self::over_users(world, users);
-        }
-        let chunks: Vec<&[UserId]> = users.chunks(chunk).collect();
-        let partials = parallel_map(exec, &chunks, |_, c| Self::over_users(world, c));
-        let mut r = AudienceReport::default();
-        for partial in partials {
-            r.merge(partial);
-        }
-        r
     }
 
     /// The report a page admin sees: aggregated over every account that ever
@@ -178,11 +158,6 @@ impl AudienceReport {
                 / self.total as f64;
         }
         out
-    }
-
-    /// Share of one age bracket.
-    pub fn age_share(&self, bracket: AgeBracket) -> f64 {
-        self.age_distribution()[bracket.index()]
     }
 }
 
@@ -295,22 +270,13 @@ mod tests {
         }
         let sequential = AudienceReport::over_users(&w, &users);
         // A chunk size far below the user count forces the multi-chunk
-        // partial-merge path that the public `*_with` wrappers take at scale.
+        // partial-merge path that `global_with` takes at scale.
         for workers in [1usize, 2, 7] {
             let exec = Exec::workers(workers);
-            assert_eq!(
-                AudienceReport::over_users_chunked(&w, &users, exec, 64),
-                sequential,
-                "over_users chunked workers={workers}"
-            );
             assert_eq!(
                 AudienceReport::global_chunked(&w, exec, 64),
                 sequential,
                 "global chunked workers={workers}"
-            );
-            assert_eq!(
-                AudienceReport::over_users_with(&w, &users, exec),
-                sequential
             );
             assert_eq!(AudienceReport::global_with(&w, exec), sequential);
         }

@@ -104,22 +104,6 @@ impl AccountStore {
         self.created_at[id.idx()]
     }
 
-    /// The raw status column. Dense scans (the fraud sweep's candidate
-    /// filter, activity tallies) walk this branch-predictably instead of
-    /// assembling an [`Account`] per row.
-    pub fn statuses(&self) -> &[AccountStatus] {
-        &self.status
-    }
-
-    /// The interned profile-handle column, parallel to account ids. Columnar
-    /// aggregations histogram over these `u32`s (the value space is tiny —
-    /// thousands of distinct profiles for millions of accounts) and expand
-    /// through [`interned_profiles`][Self::interned_profiles] once at the
-    /// end instead of touching the demographics table per row.
-    pub fn profile_handles(&self) -> &[u32] {
-        &self.profile_ids
-    }
-
     /// The interned demographics table, indexed by profile handle.
     pub fn interned_profiles(&self) -> &[Profile] {
         &self.profiles

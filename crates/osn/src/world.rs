@@ -328,14 +328,6 @@ impl OsnWorld {
         &self.friends
     }
 
-    /// Mutable friendship graph, for bulk generators.
-    ///
-    /// Prefer [`generate_friendships`][Self::generate_friendships]: edges
-    /// added through this escape hatch are invisible to the event log.
-    pub fn friends_mut(&mut self) -> &mut FriendGraph {
-        &mut self.friends
-    }
-
     // ----- likes -----------------------------------------------------------
 
     /// Record a like. Likes by terminated accounts are rejected.

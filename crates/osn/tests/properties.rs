@@ -59,12 +59,6 @@ proptest! {
         let membership_total: usize =
             (0..15).map(|u| ledger.user_pages(UserId(u)).count()).sum();
         prop_assert_eq!(membership_total, ledger.len());
-        // Sorted accessors really sort.
-        for p in 0..15 {
-            let sorted = ledger.of_page_sorted(PageId(p));
-            prop_assert!(sorted.windows(2).all(|w| w[0].at <= w[1].at));
-            prop_assert_eq!(sorted.len(), ledger.page_like_count(PageId(p)));
-        }
     }
 
     /// Per-side streams are order-preserving projections of the global

@@ -95,7 +95,7 @@ pub enum LogError {
         next: u64,
     },
     /// A followed file shrank below the follower's committed offset — the
-    /// producer truncated or rotated it. Distinct from [`Truncated`]
+    /// producer truncated or rotated it. Distinct from [`LogError::Truncated`]
     /// (which means the stream *ended* mid-frame): already-consumed bytes
     /// are gone, so the follower cannot continue and the caller must
     /// re-open the source from scratch. Reported by

@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablations of the design choices DESIGN.md §3 calls out, each printed as
+//! a table with its takeaway:
 //!
 //! - **A1** — burst width vs. detectability: how wide does a farm have to
 //!   smear its delivery before the burst detector loses it?
@@ -9,17 +10,41 @@
 //! - **A4** — worldwide-allocation sharpness vs. the FB-ALL India collapse:
 //!   how winner-take-most does the ad auction have to be before worldwide
 //!   targeting lands 96% in one market?
+//!
+//! Every ablation builds its own small world from fixed seeds, so the
+//! output does not depend on any argument.
+//!
+//! ```text
+//! cargo run --release --example ablations
+//! ```
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use likelab_bench::print_block;
-use likelab_detect::{judge_page, BurstConfig};
-use likelab_farms::{DeliveryStyle, FarmOrder, FarmRoster, FarmSpec, Region};
-use likelab_graph::components::ComponentCensus;
-use likelab_graph::{PageId, UserId};
-use likelab_osn::{Country, OsnWorld, PageCategory};
-use likelab_sim::{Rng, SimDuration, SimTime};
+use likelab::detect::{judge_page, BurstConfig};
+use likelab::farms::{
+    Delivery, DeliveryStyle, FarmOrder, FarmRoster, FarmSpec, PoolTopology, Region,
+};
+use likelab::graph::components::ComponentCensus;
+use likelab::graph::twohop::direct_edges_within;
+use likelab::graph::{PageId, UserId};
+use likelab::osn::{AdMarket, Country, OsnWorld, PageCategory};
+use likelab::sim::{Rng, SimDuration, SimTime};
+use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::hint::black_box;
+
+fn main() {
+    ablation_burst_width();
+    ablation_stealth_connectivity();
+    ablation_privacy_rate();
+    ablation_allocation_sharpness();
+}
+
+/// Print one ablation table under a grep-friendly banner.
+fn print_block(title: &str, body: &str) {
+    println!("\n==== {title} ====");
+    for line in body.lines() {
+        println!("  {line}");
+    }
+    println!();
+}
 
 /// A small world with enough background pages for camouflage.
 fn small_world() -> (OsnWorld, Vec<PageId>) {
@@ -38,10 +63,10 @@ fn small_world() -> (OsnWorld, Vec<PageId>) {
     (world, background)
 }
 
-fn deliver_with_style(style: DeliveryStyle, seed: u64) -> (OsnWorld, PageId) {
+/// Order 1,000 US likes for a fresh honeypot from a single-farm roster.
+/// The delivered likes are not yet recorded in the returned world.
+fn fulfill_order(spec: FarmSpec, seed: u64) -> (OsnWorld, PageId, Delivery) {
     let (mut world, background) = small_world();
-    let mut spec = FarmSpec::authenticlikes();
-    spec.style = style;
     let mut roster = FarmRoster::new(vec![spec], background, 0.3, Rng::seed_from_u64(seed));
     let page = world.create_page("h", "", None, PageCategory::Honeypot, SimTime::at_day(100));
     let d = roster.fulfill(
@@ -54,10 +79,7 @@ fn deliver_with_style(style: DeliveryStyle, seed: u64) -> (OsnWorld, PageId) {
             placed_at: SimTime::at_day(100),
         },
     );
-    for l in d.likes {
-        world.record_like(l.user, l.page, l.at);
-    }
-    (world, page)
+    (world, page, d)
 }
 
 fn ablation_burst_width() {
@@ -67,9 +89,9 @@ fn ablation_burst_width() {
         "{:24} {:>10} {:>10}",
         "delivery style", "peak2h", "flagged%"
     );
-    let styles: Vec<(String, DeliveryStyle)> = vec![
+    let styles: Vec<(&str, DeliveryStyle)> = vec![
         (
-            "burst 1h x1".into(),
+            "burst 1h x1",
             DeliveryStyle::Burst {
                 days: 1,
                 bursts: 1,
@@ -78,7 +100,7 @@ fn ablation_burst_width() {
             },
         ),
         (
-            "burst 2h x3 / 3d".into(),
+            "burst 2h x3 / 3d",
             DeliveryStyle::Burst {
                 days: 3,
                 bursts: 3,
@@ -87,7 +109,7 @@ fn ablation_burst_width() {
             },
         ),
         (
-            "burst 12h x3 / 5d".into(),
+            "burst 12h x3 / 5d",
             DeliveryStyle::Burst {
                 days: 5,
                 bursts: 3,
@@ -96,7 +118,7 @@ fn ablation_burst_width() {
             },
         ),
         (
-            "burst 24h x5 / 10d".into(),
+            "burst 24h x5 / 10d",
             DeliveryStyle::Burst {
                 days: 10,
                 bursts: 5,
@@ -104,15 +126,20 @@ fn ablation_burst_width() {
                 start_delay: SimDuration::hours(10),
             },
         ),
-        ("trickle 15d".into(), DeliveryStyle::Trickle { days: 15 }),
+        ("trickle 15d", DeliveryStyle::Trickle { days: 15 }),
     ];
     let cfg = BurstConfig::default();
+    const TRIALS: u64 = 8;
     for (name, style) in styles {
         let mut flagged = 0;
         let mut share_sum = 0.0;
-        const TRIALS: u64 = 8;
         for seed in 0..TRIALS {
-            let (world, page) = deliver_with_style(style, seed);
+            let mut spec = FarmSpec::authenticlikes();
+            spec.style = style;
+            let (mut world, page, d) = fulfill_order(spec, seed);
+            for l in d.likes {
+                world.record_like(l.user, l.page, l.at);
+            }
             let v = judge_page(&world, page, Some(SimTime::at_day(99)), &cfg);
             share_sum += v.peak_share;
             if v.flagged {
@@ -139,33 +166,17 @@ fn ablation_stealth_connectivity() {
     let mut body = String::new();
     let _ = writeln!(
         body,
-        "{:ello$} {:>12} {:>10} {:>8}",
-        "within-pool degree",
-        "giant frac",
-        "edges",
-        "pairs",
-        ello = 20
+        "{:20} {:>12} {:>10} {:>8}",
+        "within-pool degree", "giant frac", "edges", "pairs"
     );
     for within in [0usize, 2, 6, 12, 30] {
-        let (mut world, background) = small_world();
         let mut spec = FarmSpec::boostlikes();
-        spec.topology = likelab_farms::PoolTopology::DenseNetwork {
+        spec.topology = PoolTopology::DenseNetwork {
             within_degree: within,
         };
-        let mut roster = FarmRoster::new(vec![spec], background, 0.3, Rng::seed_from_u64(7));
-        let page = world.create_page("h", "", None, PageCategory::Honeypot, SimTime::at_day(100));
-        let d = roster.fulfill(
-            &mut world,
-            &FarmOrder {
-                farm: 0,
-                page,
-                region: Region::Country(Country::Usa),
-                likes: 1_000,
-                placed_at: SimTime::at_day(100),
-            },
-        );
+        let (world, _, d) = fulfill_order(spec, 7);
         let census = ComponentCensus::compute(world.friends(), &d.accounts);
-        let edges = likelab_graph::twohop::direct_edges_within(world.friends(), &d.accounts);
+        let edges = direct_edges_within(world.friends(), &d.accounts);
         let _ = writeln!(
             body,
             "{:20} {:>11.0}% {:>10} {:>8}",
@@ -195,26 +206,14 @@ fn ablation_privacy_rate() {
         "public rate", "true edges", "observed edges", "seen frac"
     );
     for public in [0.1, 0.26, 0.5, 0.8, 1.0] {
-        let (mut world, background) = small_world();
         let mut spec = FarmSpec::boostlikes();
         spec.friend_list_public = public;
-        let mut roster = FarmRoster::new(vec![spec], background, 0.3, Rng::seed_from_u64(9));
-        let page = world.create_page("h", "", None, PageCategory::Honeypot, SimTime::at_day(100));
-        let d = roster.fulfill(
-            &mut world,
-            &FarmOrder {
-                farm: 0,
-                page,
-                region: Region::Country(Country::Usa),
-                likes: 1_000,
-                placed_at: SimTime::at_day(100),
-            },
-        );
-        let truth = likelab_graph::twohop::direct_edges_within(world.friends(), &d.accounts);
+        let (world, _, d) = fulfill_order(spec, 9);
+        let truth = direct_edges_within(world.friends(), &d.accounts);
         // What the crawler sees: an edge is observed when either endpoint's
         // list is public.
-        let likers: std::collections::HashSet<UserId> = d.accounts.iter().copied().collect();
-        let mut observed = std::collections::HashSet::new();
+        let likers: HashSet<UserId> = d.accounts.iter().copied().collect();
+        let mut observed = HashSet::new();
         for &u in &d.accounts {
             if !world.account(u).privacy.friend_list_public {
                 continue;
@@ -246,7 +245,6 @@ fn ablation_privacy_rate() {
 }
 
 fn ablation_allocation_sharpness() {
-    use likelab_osn::{AdMarket, Country};
     let mut body = String::new();
     let _ = writeln!(body, "{:>10} {:>14}", "sharpness", "India share");
     // Reach-estimate pools shaped like the study world's click-prone
@@ -268,24 +266,23 @@ fn ablation_allocation_sharpness() {
             allocation_sharpness: sharpness,
             ..AdMarket::default()
         };
-        let alloc = market.allocate(600.0, &markets);
-        let total: f64 = alloc.iter().map(|(_, b)| b).sum();
         // Budget share ÷ price = like share.
-        let likes = |c: Country| {
-            alloc
-                .iter()
-                .find(|(x, _)| *x == c)
-                .map(|(_, b)| b / market.base_cost(c))
-                .unwrap_or(0.0)
-        };
-        let all_likes: f64 = alloc.iter().map(|(c, b)| b / market.base_cost(*c)).sum();
+        let likes: Vec<(Country, f64)> = market
+            .allocate(600.0, &markets)
+            .into_iter()
+            .map(|(c, budget)| (c, budget / market.base_cost(c)))
+            .collect();
+        let india: f64 = likes
+            .iter()
+            .find(|(c, _)| *c == Country::India)
+            .map_or(0.0, |(_, l)| *l);
+        let all_likes: f64 = likes.iter().map(|(_, l)| l).sum();
         let _ = writeln!(
             body,
             "{:>10} {:>13.0}%",
             sharpness,
-            likes(Country::India) / all_likes.max(1e-9) * 100.0
+            india / all_likes.max(1e-9) * 100.0
         );
-        let _ = total;
     }
     let _ = writeln!(
         body,
@@ -297,16 +294,3 @@ fn ablation_allocation_sharpness() {
         &body,
     );
 }
-
-fn bench(c: &mut Criterion) {
-    ablation_burst_width();
-    ablation_stealth_connectivity();
-    ablation_privacy_rate();
-    ablation_allocation_sharpness();
-    c.bench_function("ablation/farm_fulfillment", |b| {
-        b.iter(|| black_box(deliver_with_style(DeliveryStyle::Trickle { days: 15 }, 1)))
-    });
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

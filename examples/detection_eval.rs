@@ -1,18 +1,20 @@
 //! Detection evaluation: run the honeypot study, then act as the platform
-//! operator — score every account with the combined detector, run the
-//! lockstep detector, and measure both against ground truth.
+//! operator — score every account with the combined detector (hand-set and
+//! trained weights), run the lockstep detector and SybilRank, and measure
+//! each against ground truth.
 //!
 //! Reproduces the paper's closing argument quantitatively: bot-burst farm
 //! accounts are easy to catch; BoostLikes-style stealth accounts score
-//! near-organic and survive.
+//! near-organic and survive; only the graph defense (low SybilRank trust
+//! from organic seeds) touches them.
 //!
 //! ```text
 //! cargo run --release --example detection_eval [scale] [seed]
 //! ```
 
 use likelab::detect::{
-    confusion_at, detect, extract, roc, score, BurstConfig, LockstepConfig, PositiveClass,
-    ScorerWeights,
+    confusion_at, detect, extract, fit, roc, score, sybil_rank, BurstConfig, LockstepConfig,
+    PositiveClass, ScorerWeights, SybilRankConfig, TrainConfig,
 };
 use likelab::graph::UserId;
 use likelab::osn::ActorClass;
@@ -40,6 +42,25 @@ fn main() {
 
     let r = roc(world, &scored, PositiveClass::FarmOnly);
     println!("combined scorer vs farm accounts: AUC = {:.3}", r.auc);
+
+    // Trained weights: fit on every third account, score them all.
+    let train: Vec<_> = world
+        .user_ids()
+        .step_by(3)
+        .map(|u| {
+            (
+                extract(world, u, now, &burst_cfg),
+                world.account(u).class.is_farm(),
+            )
+        })
+        .collect();
+    let trained = fit(&train, &TrainConfig::default());
+    let scored_trained: Vec<(UserId, f64)> = world
+        .user_ids()
+        .map(|u| (u, score(&extract(world, u, now, &burst_cfg), &trained)))
+        .collect();
+    let auc_trained = roc(world, &scored_trained, PositiveClass::FarmOnly).auc;
+    println!("combined scorer (trained):      AUC {auc_trained:.3}");
     let c = confusion_at(world, &scored, 0.5, PositiveClass::FarmOnly);
     println!(
         "at threshold 0.5: precision {:.2}, recall {:.2}, F1 {:.2}, FPR {:.4}",
@@ -119,4 +140,28 @@ fn main() {
             biggest.len()
         );
     }
+
+    // --- SybilRank from organic seeds ----------------------------------------
+    let seeds: Vec<UserId> = outcome
+        .population
+        .organic
+        .iter()
+        .step_by(500)
+        .copied()
+        .collect();
+    let trust = sybil_rank(world.friends(), &seeds, &SybilRankConfig::default());
+    let mean_trust = |pred: &dyn Fn(ActorClass) -> bool| -> f64 {
+        let xs: Vec<f64> = world
+            .user_ids()
+            .filter(|u| pred(world.account(*u).class))
+            .map(|u| trust.trust(u))
+            .collect();
+        xs.iter().sum::<f64>() / xs.len().max(1) as f64
+    };
+    println!(
+        "sybilrank mean trust: organic {:.2e}, bots {:.2e}, stealth {:.2e}",
+        mean_trust(&|c| c == ActorClass::Organic),
+        mean_trust(&|c| matches!(c, ActorClass::Bot(_))),
+        mean_trust(&|c| matches!(c, ActorClass::StealthSybil(_))),
+    );
 }

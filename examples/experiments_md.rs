@@ -352,7 +352,7 @@ fn main() {
     let _ = writeln!(
         w,
         "\nFull matrices: `report.figure5_pages` / `report.figure5_users` \
-         (also printed by `cargo bench --bench fig5`). Inactive campaigns \
+         (also printed by `likelab run`). Inactive campaigns \
          (BL-ALL, MS-ALL) have all-zero rows, as in the paper.\n"
     );
 
@@ -413,8 +413,8 @@ fn main() {
         "## Ablations\n\nA1 (burst width vs. detectability), A2 (stealth \
          connectivity vs. Figure 3 structure), A3 (privacy rate vs. \
          observed edges), and A4 (auction sharpness vs. the FB-ALL India \
-         collapse) print from `cargo bench -p likelab-bench --bench \
-         ablation`; the detection extension prints from `--bench detect`. \
+         collapse) print from `cargo run --release --example ablations`; \
+         the detection extension prints from `--example detection_eval`. \
          See DESIGN.md §3 for the index.\n"
     );
 

@@ -20,9 +20,9 @@
 //! line-delimited JSON fraud-score queries — protocol in SERVING.md.
 //!
 //! `run`, `checklist`, and `sweep` accept the observability flags
-//! `--timing` (print a per-phase timing table), `--metrics-out FILE`, and
-//! `--trace-out FILE` (write the metrics / span-trace JSON documented in
-//! OBSERVABILITY.md).
+//! `--timing` (print a per-phase timing table to stderr), `--metrics-out
+//! FILE`, and `--trace-out FILE` (write the metrics / span-trace JSON
+//! documented in OBSERVABILITY.md).
 //!
 //! The crawl surface can be degraded with `--preset chaos` or
 //! `--fault-profile NAME` (none|default|throttled|flaky|chaos); a faulted
@@ -363,7 +363,7 @@ fn start_observability(opts: &Opts) {
     }
 }
 
-/// After the workload: print the `--timing` tables and write the
+/// After the workload: print the `--timing` tables to stderr and write the
 /// `--metrics-out` / `--trace-out` JSON files (formats in OBSERVABILITY.md).
 fn emit_observability(opts: &Opts) -> Result<(), String> {
     if !opts.wants_observability() {
@@ -372,9 +372,11 @@ fn emit_observability(opts: &Opts) -> Result<(), String> {
     likelab_obs::disable();
     let snap = likelab_obs::snapshot();
     if opts.timing {
-        println!("\n{}", snap.timing_table());
-        println!("== timing: span tree ==");
-        print!("{}", snap.flame());
+        // Stderr, so the report on stdout stays byte-identical with or
+        // without `--timing`.
+        eprintln!("\n{}", snap.timing_table());
+        eprintln!("== timing: span tree ==");
+        eprint!("{}", snap.flame());
     }
     if let Some(path) = &opts.metrics_out {
         write_file(path, &snap.metrics_json())?;

@@ -14,6 +14,9 @@
 //! ```
 //!
 //! then review the diff of the golden file like any other code change.
+//!
+//! The file also pins one stream contract of the CLI: `--timing` output goes
+//! to stderr, never into the report on stdout.
 
 use std::process::Command;
 
@@ -83,4 +86,33 @@ fn help_names_every_event_sourcing_flag() {
     ] {
         assert!(help.contains(needle), "help must mention {needle}");
     }
+}
+
+/// `--timing` reports on stderr: the report on stdout is byte-identical
+/// with and without the flag, and the span tree lands on stderr.
+#[test]
+fn timing_goes_to_stderr_and_leaves_stdout_unchanged() {
+    let run = |timing: bool| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_likelab"));
+        cmd.args(["run", "--scale", "0.01", "--seed", "3"]);
+        if timing {
+            cmd.arg("--timing");
+        }
+        let out = cmd.output().expect("run likelab run");
+        assert!(out.status.success(), "run must exit 0 (timing={timing})");
+        out
+    };
+    let plain = run(false);
+    let timed = run(true);
+    assert!(
+        plain.stdout == timed.stdout,
+        "--timing changed stdout ({} vs {} bytes)",
+        plain.stdout.len(),
+        timed.stdout.len()
+    );
+    let stderr = String::from_utf8(timed.stderr).expect("stderr is valid UTF-8");
+    assert!(
+        stderr.contains("== timing: span tree =="),
+        "--timing must print the span tree to stderr"
+    );
 }

@@ -201,14 +201,6 @@ fn assert_ledgers_agree(
         let times: Vec<u64> = ledger.page_times(page).map(|t| t.as_secs()).collect();
         let ref_times: Vec<u64> = reference.of_page(p).iter().map(|&(_, _, t)| t).collect();
         prop_assert_eq!(times, ref_times);
-        let mut sorted = reference.of_page(p);
-        sorted.sort_by_key(|&(_, _, t)| t); // stable, same as of_page_sorted
-        let of_page_sorted: Vec<_> = ledger
-            .of_page_sorted(page)
-            .into_iter()
-            .map(as_tuple)
-            .collect();
-        prop_assert_eq!(&of_page_sorted, &sorted);
     }
 
     for u in 0..n_users {
