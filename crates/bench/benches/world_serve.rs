@@ -15,7 +15,8 @@
 //! burst detector — a benchmark of a wrong answer is worthless.
 //!
 //! Results go to stdout and `BENCH_serve.json` at the repository root
-//! (override with `LIKELAB_BENCH_OUT`). The study is the paper preset
+//! (override with `LIKELAB_BENCH_OUT`), with the host's core count
+//! (`nproc`) beside the worker count. The study is the paper preset
 //! trimmed by `LIKELAB_BENCH_SERVE_SCALE` (default 0.05 — CI-sized).
 
 use likelab_core::serve::{ServeConfig, ServeEngine, ServeSession};
@@ -38,6 +39,7 @@ fn main() {
     let scale = env_f64("LIKELAB_BENCH_SERVE_SCALE", 0.05);
     let seed = 42u64;
     let exec = Exec::auto();
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     let chunk = 4_096usize;
     let out_path = std::env::var("LIKELAB_BENCH_OUT").map_or_else(
         |_| {
@@ -135,7 +137,8 @@ fn main() {
     }
 
     println!("== world_serve: paper preset at scale {scale} ==");
-    println!("workers:            {}", exec.worker_count());
+    let workers = exec.worker_count();
+    println!("workers:            {workers} (nproc {nproc})");
     println!("stream records:     {events}");
     println!("ingest:             {ingest_seconds:.3} s ({ingest_events_per_sec:.0} events/s)");
     println!("interleaved:        {serve_seconds:.3} s, {fired} queries (chunk {chunk})");
@@ -154,14 +157,13 @@ fn main() {
     // record is a single object.
     let json = format!(
         "{{\n  \"bench\": \"world_serve\",\n  \"scale\": {scale},\n  \"seed\": {seed},\n  \
-         \"workers\": {},\n  \"events\": {events},\n  \"chunk\": {chunk},\n  \
+         \"nproc\": {nproc},\n  \"workers\": {workers},\n  \"events\": {events},\n  \"chunk\": {chunk},\n  \
          \"ingest_seconds\": {ingest_seconds:.6},\n  \
          \"ingest_events_per_sec\": {ingest_events_per_sec:.1},\n  \
          \"queries\": {fired},\n  \
          \"p99_query_ns\": {p99_query_ns},\n  \
          \"mean_lag_records\": {mean_lag:.1},\n  \
-         \"max_lag_records\": {max_lag}\n}}\n",
-        exec.worker_count(),
+         \"max_lag_records\": {max_lag}\n}}\n"
     );
     match std::fs::write(&out_path, &json) {
         Ok(()) => println!("written: {}", out_path.display()),

@@ -7,9 +7,9 @@
 //! of users co-occurs in a bucket, and unions pairs with enough shared
 //! buckets into suspicious clusters.
 
-use likelab_graph::UserId;
+use likelab_graph::{PageId, UserId};
 use likelab_osn::OsnWorld;
-use likelab_sim::SimDuration;
+use likelab_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -54,9 +54,83 @@ impl LockstepReport {
     }
 }
 
-/// The `(page, window index)` key a like at time `at` buckets under.
-pub(crate) fn bucket_key(page: u32, at_secs: u64, config: &LockstepConfig) -> (u32, u64) {
-    (page, at_secs / config.window.as_secs().max(1))
+/// Likes bucketed by `(page, window index)`, stored as one append-only
+/// `(window, user)` column per page: the bucket store behind both batch
+/// [`detect`] and [`crate::online::OnlineLockstep`]. A like at `at` falls
+/// in window `at / config.window`, kept as a full `u64`.
+///
+/// A bucket is a run of equal windows in its page's column. Appends keep
+/// that true as long as a page's likes arrive in window order; a like for
+/// an earlier window (a backfill) flags the page, and [`report`] finds
+/// that page's buckets in a sorted scratch copy instead.
+///
+/// [`report`]: BucketStore::report
+#[derive(Clone, Debug, Default)]
+pub(crate) struct BucketStore {
+    /// Indexed by page id; pages with no likes yet hold an empty column.
+    pages: Vec<PageColumn>,
+}
+
+/// One page's likes in arrival order.
+#[derive(Clone, Debug, Default)]
+struct PageColumn {
+    likes: Vec<(u64, UserId)>,
+    /// Some like arrived for an earlier window than the one before it.
+    out_of_order: bool,
+}
+
+impl BucketStore {
+    /// Append one like to its page's column.
+    pub(crate) fn push(
+        &mut self,
+        user: UserId,
+        page: PageId,
+        at: SimTime,
+        config: &LockstepConfig,
+    ) {
+        let window = at.as_secs() / config.window.as_secs().max(1);
+        let idx = page.idx();
+        if idx >= self.pages.len() {
+            self.pages.resize_with(idx + 1, PageColumn::default);
+        }
+        // lint:allow(panic-reachable-from-serve): resize_with above guarantees idx is in bounds; only accepted likes reach the store, so idx is below the world's page count
+        let column = &mut self.pages[idx];
+        if column.likes.last().is_some_and(|&(last, _)| window < last) {
+            column.out_of_order = true;
+        }
+        column.likes.push((window, user));
+    }
+
+    /// Run the pair-counting kernel over every bucket of at least
+    /// `min_bucket_size` likes. Smaller buckets never reach the kernel,
+    /// which would skip them anyway.
+    pub(crate) fn report(&self, config: &LockstepConfig) -> LockstepReport {
+        let mut sorted: Vec<(u64, UserId)> = Vec::new();
+        let mut members: Vec<UserId> = Vec::new();
+        let mut buckets: Vec<std::ops::Range<usize>> = Vec::new();
+        for column in &self.pages {
+            let likes = if column.out_of_order {
+                sorted.clear();
+                sorted.extend_from_slice(&column.likes);
+                sorted.sort_unstable_by_key(|&(window, _)| window);
+                &sorted
+            } else {
+                &column.likes
+            };
+            for run in likes.chunk_by(|a, b| a.0 == b.0) {
+                if run.len() >= config.min_bucket_size {
+                    let start = members.len();
+                    members.extend(run.iter().map(|&(_, user)| user));
+                    buckets.push(start..members.len());
+                }
+            }
+        }
+        detect_from_buckets(
+            // lint:allow(panic-reachable-from-serve): every range was cut from members as it grew
+            buckets.iter().map(|range| &members[range.clone()]),
+            config,
+        )
+    }
 }
 
 /// Run lockstep detection over the whole like ledger.
@@ -71,51 +145,52 @@ pub(crate) fn bucket_key(page: u32, at_secs: u64, config: &LockstepConfig) -> (u
 /// assert!(report.clusters.is_empty());
 /// ```
 pub fn detect(world: &OsnWorld, config: &LockstepConfig) -> LockstepReport {
-    // Bucket likes by (page, window index).
-    // BTree maps throughout: every aggregation here is commutative, but
-    // deterministic iteration keeps intermediate vectors (and anything a
-    // future change derives from them) reproducible by construction.
-    let mut buckets: BTreeMap<(u32, u64), Vec<UserId>> = BTreeMap::new();
+    let mut store = BucketStore::default();
     for r in world.likes().records() {
-        buckets
-            .entry(bucket_key(r.page.0, r.at.as_secs(), config))
-            .or_default()
-            .push(r.user);
+        store.push(r.user, r.page, r.at, config);
     }
-    detect_from_buckets(&buckets, config)
+    store.report(config)
 }
 
 /// The pair-counting / clustering kernel behind [`detect`], over
-/// already-bucketed likes.
+/// already-bucketed likes: each item is one `(page, window)` bucket's
+/// users.
 ///
-/// This is the shared tail of the batch and online paths: the online
-/// detector ([`crate::online::OnlineLockstep`]) maintains the bucket map
-/// incrementally and calls this exact kernel on demand, which is what makes
-/// its end-of-stream report **bitwise identical** to [`detect`]'s. The
-/// kernel sorts and dedups each bucket before counting, so the insertion
-/// order of a bucket's members is irrelevant to the output.
-pub fn detect_from_buckets(
-    buckets: &BTreeMap<(u32, u64), Vec<UserId>>,
+/// This is the shared tail of the batch and online paths, both of which
+/// feed it from the same bucket store. Buckets may come in any order and
+/// hold their users in any order: pair counts are sums, and the kernel
+/// sorts and dedups each bucket before counting, so the output depends
+/// only on the multiset of buckets.
+pub fn detect_from_buckets<'a>(
+    buckets: impl IntoIterator<Item = &'a [UserId]>,
     config: &LockstepConfig,
 ) -> LockstepReport {
-    // Count co-occurrences per user pair.
+    // Count co-occurrences per user pair. BTree maps throughout: every
+    // aggregation here is commutative, but deterministic iteration keeps
+    // intermediate vectors reproducible by construction.
     let mut pair_counts: BTreeMap<(UserId, UserId), u32> = BTreeMap::new();
-    for users in buckets.values() {
-        if users.len() < config.min_bucket_size {
+    let mut users: Vec<UserId> = Vec::new();
+    let mut sample: Vec<UserId> = Vec::new();
+    for bucket in buckets {
+        if bucket.len() < config.min_bucket_size {
             continue;
         }
-        let mut users: Vec<UserId> = users.clone();
+        users.clear();
+        users.extend_from_slice(bucket);
         users.sort_unstable();
         users.dedup();
         // Deterministic subsample: evenly strided.
-        let sampled: Vec<UserId> = if users.len() > config.max_bucket_size {
+        let sampled: &[UserId] = if users.len() > config.max_bucket_size {
             let stride = users.len() as f64 / config.max_bucket_size as f64;
-            (0..config.max_bucket_size)
-                // lint:allow(panic-reachable-from-serve): i * stride < len since stride = len / max and i < max
-                .map(|i| users[(i as f64 * stride) as usize])
-                .collect()
+            sample.clear();
+            sample.extend(
+                (0..config.max_bucket_size)
+                    // lint:allow(panic-reachable-from-serve): i * stride < len since stride = len / max and i < max
+                    .map(|i| users[(i as f64 * stride) as usize]),
+            );
+            &sample
         } else {
-            users
+            &users
         };
         for i in 0..sampled.len() {
             for j in (i + 1)..sampled.len() {
@@ -153,9 +228,8 @@ pub fn detect_from_buckets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use likelab_graph::PageId;
     use likelab_osn::{ActorClass, Country, Gender, PageCategory, PrivacySettings, Profile};
-    use likelab_sim::{Rng, SimTime};
+    use likelab_sim::Rng;
 
     fn mk_world(n_users: u32, n_pages: u32) -> OsnWorld {
         let mut w = OsnWorld::new();

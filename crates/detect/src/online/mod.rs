@@ -17,9 +17,11 @@
 //! - [`OnlineBurst`] keeps per-entity sorted timestamp vectors: in-order
 //!   arrivals advance a two-pointer scan in O(1); backfills fall back to
 //!   the batch sort-and-scan lazily at the next query.
-//! - [`OnlineLockstep`] maintains the `(page, window)` bucket map
-//!   incrementally and runs the extracted batch kernel
-//!   ([`crate::lockstep::detect_from_buckets`]) on demand.
+//! - [`OnlineLockstep`] keeps the batch detector's bucket store live —
+//!   one append-only `(window, user)` column per page — and runs the
+//!   batch kernel ([`crate::lockstep::detect_from_buckets`]) over its
+//!   buckets on demand. A report rescans every column, so query it at
+//!   coarse cadence.
 //! - [`OnlineSybilRank`] gates the exact batch power iteration behind a
 //!   graph-delta dirty flag (no warm starts — they converge close, not
 //!   equal).

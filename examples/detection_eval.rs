@@ -88,10 +88,17 @@ fn main() {
     println!("  click-prone accounts:  {clickprone:.3}");
     println!("  stealth sybils:        {stealth:.3}   <- the paper's hard case");
     println!("  organic users:         {organic:.3}");
-    println!(
-        "stealth gap: stealth sybils score {:.1}x closer to organic than bots do",
-        ((bot - organic) / (stealth - organic).max(1e-6)).max(1.0)
-    );
+    if stealth > organic {
+        println!(
+            "stealth gap: stealth sybils score {:.1}x closer to organic than bots do",
+            ((bot - organic) / (stealth - organic)).max(1.0)
+        );
+    } else {
+        println!(
+            "stealth gap: stealth sybils score at or below organic users \
+             ({stealth:.3} vs {organic:.3}); the scorer cannot tell them apart"
+        );
+    }
 
     // --- recall per farm class ------------------------------------------------
     let recall_of = |pred: &dyn Fn(ActorClass) -> bool| -> f64 {
